@@ -3,6 +3,7 @@
 //! memory model.
 
 use wsp_obs as obs;
+use wsp_units::fasthash::FastSet;
 use wsp_units::{ByteSize, Nanos};
 
 use crate::{CacheStats, CpuProfile, Eviction, LineAddr, SetAssocCache, LINE_SIZE};
@@ -85,9 +86,11 @@ pub struct CacheHierarchy {
     /// Distinct lines touched by pending non-temporal stores; durable
     /// only after the next fence. Deduplicated at insert.
     pending_wc_lines: Vec<LineAddr>,
-    /// Membership index over `pending_wc_lines`, so long unfenced store
-    /// batches (epoch group commit) dedup in O(1) instead of scanning.
-    pending_wc_set: std::collections::HashSet<LineAddr>,
+    /// Membership index over `pending_wc_lines`, built only once a batch
+    /// outgrows [`WC_SCAN_LINES`], so long unfenced store batches (epoch
+    /// group commit) dedup in O(1) while the common few-line batch scans
+    /// and never pays a hash or a table clear.
+    pending_wc_set: FastSet<u64>,
     /// Reused writeback scratch for the fast access path: dirty lines the
     /// in-flight access pushed back to memory.
     wb_scratch: Vec<LineAddr>,
@@ -103,6 +106,69 @@ pub struct CacheHierarchy {
     /// *store* can only take the shortcut when no dirty bit would need
     /// setting).
     last_dirty: bool,
+    /// Line index the latest non-temporal store invalidated at every
+    /// level ([`u64::MAX`] = none). Only a miss on that very line can
+    /// bring it back (victims of evictions are resident lines), so until
+    /// then a further NT store to it skips the invalidation probe — the
+    /// 4-word log record hitting one line pays one probe, not four.
+    nt_absent: u64,
+    /// Instruction and bus costs derived once from the profile: the f64
+    /// arithmetic they come from runs here, not on every access.
+    costs: Costs,
+}
+
+/// Batches at most this long dedup their write-combining lines by a
+/// linear scan; longer ones switch to the hashed index.
+const WC_SCAN_LINES: usize = 16;
+
+/// Entries of the fence's streaming-cost memo.
+const STREAM_MEMO: usize = 8;
+
+/// The profile's per-operation costs, each computed exactly the way the
+/// operation used to compute it on every call, so every simulated
+/// latency stays bitwise identical.
+#[derive(Debug, Clone)]
+struct Costs {
+    line_fill: Nanos,
+    line_writeback: Nanos,
+    clflush: Nanos,
+    /// An 8-byte NT store (the log word) — by far the common length.
+    ntstore_word: Nanos,
+    /// The `scan` term of `wbinvd`: the microcode walk over every slot.
+    wbinvd_scan: Nanos,
+    /// Direct-mapped memo of `bus.stream_write(bytes)` keyed by the byte
+    /// count a fence drains (`u64::MAX` = empty slot).
+    stream: [(u64, Nanos); STREAM_MEMO],
+}
+
+impl Costs {
+    fn new(profile: &CpuProfile, levels: &[SetAssocCache]) -> Self {
+        let total_slots: u64 = levels.iter().map(|l| l.config().total_lines()).sum();
+        Costs {
+            line_fill: profile.bus.line_fill(),
+            line_writeback: profile.bus.line_writeback(),
+            clflush: Nanos::from_secs_f64(profile.clflush_ns_per_line * 1e-9),
+            ntstore_word: Self::ntstore(profile, 8),
+            wbinvd_scan: Nanos::from_secs_f64(
+                profile.wbinvd_scan_ns_per_line * total_slots as f64 * 1e-9,
+            ),
+            stream: [(u64::MAX, Nanos::ZERO); STREAM_MEMO],
+        }
+    }
+
+    /// Issue cost of a `len`-byte NT store.
+    fn ntstore(profile: &CpuProfile, len: u64) -> Nanos {
+        Nanos::from_secs_f64(profile.ntstore_ns_per_8b * (len.max(1) as f64 / 8.0) * 1e-9)
+    }
+
+    /// `bus.stream_write(bytes)`, memoised per byte count.
+    fn stream_write(&mut self, profile: &CpuProfile, bytes: u64) -> Nanos {
+        let slot = &mut self.stream[(bytes / 8) as usize % STREAM_MEMO];
+        if slot.0 != bytes {
+            *slot = (bytes, profile.bus.stream_write(ByteSize::new(bytes)));
+        }
+        slot.1
+    }
 }
 
 impl CacheHierarchy {
@@ -116,6 +182,7 @@ impl CacheHierarchy {
             .map(SetAssocCache::new)
             .collect();
         let hit_latencies = levels.iter().map(|l| l.config().hit_latency).collect();
+        let costs = Costs::new(&profile, &levels);
         CacheHierarchy {
             profile,
             levels,
@@ -123,11 +190,13 @@ impl CacheHierarchy {
             stats: CacheStats::default(),
             pending_wc: 0,
             pending_wc_lines: Vec::new(),
-            pending_wc_set: std::collections::HashSet::new(),
+            pending_wc_set: FastSet::default(),
             wb_scratch: Vec::new(),
             walk_scratch: Vec::new(),
             last_line: u64::MAX,
             last_dirty: false,
+            nt_absent: u64::MAX,
+            costs,
         }
     }
 
@@ -243,9 +312,13 @@ impl CacheHierarchy {
         }
 
         // Miss everywhere: fill from memory into every level (the probe
-        // loop established absence at each one).
+        // loop established absence at each one). A line an NT store
+        // invalidated can only come back this way.
+        if line.index() == self.nt_absent {
+            self.nt_absent = u64::MAX;
+        }
         self.stats.misses += 1;
-        latency += self.profile.bus.line_fill();
+        latency += self.costs.line_fill;
         for j in (1..self.levels.len()).rev() {
             self.install_missing_at(j, line, false, &mut latency);
         }
@@ -312,7 +385,7 @@ impl CacheHierarchy {
         }
         if dirty {
             self.stats.writebacks += 1;
-            *latency += self.profile.bus.line_writeback();
+            *latency += self.costs.line_writeback;
             self.wb_scratch.push(victim);
         }
     }
@@ -329,15 +402,39 @@ impl CacheHierarchy {
                 dirty |= was_dirty;
             }
         }
-        let mut latency = Nanos::from_secs_f64(self.profile.clflush_ns_per_line * 1e-9);
+        let mut latency = self.costs.clflush;
         if dirty {
             self.stats.writebacks += 1;
-            latency += self.profile.bus.line_writeback();
+            latency += self.costs.line_writeback;
         }
         FlushResult {
             latency,
             wrote_back: dirty,
         }
+    }
+
+    /// `clflush` of every line overlapping `[addr, addr + len)`, in one
+    /// pass per level: the same latency, counters and end state as one
+    /// [`clflush`](Self::clflush) per line in address order. The lines
+    /// written back stay in the scratch buffer, address-sorted
+    /// ([`last_writebacks`](Self::last_writebacks)).
+    pub fn clflush_span(&mut self, addr: u64, len: u64) -> Nanos {
+        self.last_line = u64::MAX;
+        self.wb_scratch.clear();
+        if len == 0 {
+            return Nanos::ZERO;
+        }
+        let first = addr / LINE_SIZE;
+        let end = (addr + len - 1) / LINE_SIZE + 1;
+        for level in &mut self.levels {
+            level.invalidate_range_into(first, end, &mut self.wb_scratch);
+        }
+        // A line dirty at several levels is written back once.
+        crate::linewalk::coalesce_lines(&mut self.wb_scratch);
+        let written = self.wb_scratch.len() as u64;
+        self.stats.clflushes += end - first;
+        self.stats.writebacks += written;
+        self.costs.clflush * (end - first) + self.costs.line_writeback * written
     }
 
     /// `clwb`: writes the line back if dirty but leaves it resident and
@@ -350,10 +447,10 @@ impl CacheHierarchy {
         for level in &mut self.levels {
             dirty |= level.clean(line);
         }
-        let mut latency = Nanos::from_secs_f64(self.profile.clflush_ns_per_line * 1e-9);
+        let mut latency = self.costs.clflush;
         if dirty {
             self.stats.writebacks += 1;
-            latency += self.profile.bus.line_writeback();
+            latency += self.costs.line_writeback;
         }
         FlushResult {
             latency,
@@ -385,31 +482,55 @@ impl CacheHierarchy {
         self.stats.ntstores += 1;
         self.last_line = u64::MAX;
         self.wb_scratch.clear();
-        let mut latency =
-            Nanos::from_secs_f64(self.profile.ntstore_ns_per_8b * (len.max(1) as f64 / 8.0) * 1e-9);
+        let mut latency = if len == 8 {
+            self.costs.ntstore_word
+        } else {
+            Costs::ntstore(&self.profile, len)
+        };
         for line in LineAddr::span(addr, len) {
-            let mut dirty = false;
-            for level in &mut self.levels {
-                if let Some(was_dirty) = level.invalidate(line) {
-                    dirty |= was_dirty;
+            if line.index() != self.nt_absent {
+                let mut dirty = false;
+                for level in &mut self.levels {
+                    if let Some(was_dirty) = level.invalidate(line) {
+                        dirty |= was_dirty;
+                    }
                 }
+                if dirty {
+                    self.stats.writebacks += 1;
+                    latency += self.costs.line_writeback;
+                    self.wb_scratch.push(line);
+                }
+                self.nt_absent = line.index();
             }
-            if dirty {
-                self.stats.writebacks += 1;
-                latency += self.profile.bus.line_writeback();
-                self.wb_scratch.push(line);
-            }
-            // Sequential stores mostly stay within the last line; the set
-            // handles the rest without a linear scan.
-            if self.pending_wc_lines.last() != Some(&line) && self.pending_wc_set.insert(line) {
-                self.pending_wc_lines.push(line);
-            }
+            self.track_wc_line(line);
         }
         self.pending_wc += len;
         AccessMeta {
             latency,
             hit_level: None,
             writebacks: self.wb_scratch.len(),
+        }
+    }
+
+    /// Adds `line` to the pending write-combining set unless an earlier
+    /// un-fenced NT store already occupies its buffer.
+    fn track_wc_line(&mut self, line: LineAddr) {
+        // Sequential stores mostly stay within the last line.
+        if self.pending_wc_lines.last() == Some(&line) {
+            return;
+        }
+        let n = self.pending_wc_lines.len();
+        let fresh = if n < WC_SCAN_LINES {
+            !self.pending_wc_lines.contains(&line)
+        } else {
+            if self.pending_wc_set.is_empty() {
+                self.pending_wc_set
+                    .extend(self.pending_wc_lines.iter().map(|l| l.index()));
+            }
+            self.pending_wc_set.insert(line.index())
+        };
+        if fresh {
+            self.pending_wc_lines.push(line);
         }
     }
 
@@ -433,12 +554,14 @@ impl CacheHierarchy {
     /// buffer keeps its capacity for the next transaction.
     pub fn sfence_fast(&mut self) -> Nanos {
         self.stats.fences += 1;
-        let stream = self.profile.bus.stream_write(ByteSize::new(self.pending_wc));
+        let stream = self.costs.stream_write(&self.profile, self.pending_wc);
         self.pending_wc = 0;
-        let drain = self.profile.bus.line_writeback() * self.pending_wc_lines.len() as u64 + stream;
+        let drain = self.costs.line_writeback * self.pending_wc_lines.len() as u64 + stream;
         std::mem::swap(&mut self.wb_scratch, &mut self.pending_wc_lines);
         self.pending_wc_lines.clear();
-        self.pending_wc_set.clear();
+        if !self.pending_wc_set.is_empty() {
+            self.pending_wc_set.clear();
+        }
         self.profile.fence_cost + drain
     }
 
@@ -465,9 +588,7 @@ impl CacheHierarchy {
         self.last_line = u64::MAX;
         let mut dirty = std::mem::take(&mut self.walk_scratch);
         dirty.clear();
-        let mut total_slots = 0u64;
         for level in &mut self.levels {
-            total_slots += level.config().total_lines();
             level.drain_dirty_into(&mut dirty);
         }
         // Lines dirty at several levels appear once: sort-dedup over the
@@ -475,9 +596,8 @@ impl CacheHierarchy {
         crate::linewalk::coalesce_lines(&mut dirty);
         let written_back = ByteSize::new(dirty.len() as u64 * LINE_SIZE);
         self.stats.writebacks += dirty.len() as u64;
-        let scan = Nanos::from_secs_f64(self.profile.wbinvd_scan_ns_per_line * total_slots as f64 * 1e-9);
         let stream = self.profile.bus.stream_write(written_back);
-        let latency = self.profile.wbinvd_base + scan.max(stream);
+        let latency = self.profile.wbinvd_base + self.costs.wbinvd_scan.max(stream);
         let writebacks = dirty.clone();
         self.walk_scratch = dirty;
         // `wbinvd` is rare (one per save path); per-access operations

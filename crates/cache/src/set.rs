@@ -319,6 +319,38 @@ impl SetAssocCache {
         true
     }
 
+    /// Invalidates every resident line with an index in `[first, end)`,
+    /// appending the dirty ones to `out` (unsorted) — `invalidate` over
+    /// the whole range, with the same end state. A range at least as
+    /// long as the set count walks the touched blocks once instead of
+    /// probing line by line.
+    pub(crate) fn invalidate_range_into(&mut self, first: u64, end: u64, out: &mut Vec<LineAddr>) {
+        if end.saturating_sub(first) < self.set_block.len() as u64 {
+            for index in first..end {
+                let line = LineAddr::from_index(index);
+                if self.invalidate(line) == Some(true) {
+                    out.push(line);
+                }
+            }
+            return;
+        }
+        let assoc = self.assoc;
+        for block in self.slots.chunks_mut(2 * assoc + 1) {
+            for way in 0..assoc {
+                let tag = block[way];
+                if tag == INVALID_TAG || !(first..end).contains(&tag) {
+                    continue;
+                }
+                block[way] = INVALID_TAG;
+                if block[2 * assoc] & (1 << way) != 0 {
+                    block[2 * assoc] &= !(1 << way);
+                    self.dirty_count -= 1;
+                    out.push(LineAddr::from_index(tag));
+                }
+            }
+        }
+    }
+
     /// Drains every line from the level, appending the dirty ones to
     /// `out` (the `wbinvd` walk at this level). The appended lines are
     /// in address-sorted order.

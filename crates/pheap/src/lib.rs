@@ -55,7 +55,6 @@ mod alloc;
 mod backend;
 mod config;
 mod error;
-mod fasthash;
 mod flit;
 mod heap;
 mod heap_stats;

@@ -321,14 +321,11 @@ impl TornLog {
         self.free_words() < self.cap_words / 4
     }
 
-    fn word_addr(&self, index: u64) -> u64 {
-        self.base + (index % self.cap_words) * 8
-    }
-
     fn push_word(&mut self, mem: &mut PersistentMemory, payload: u64, flush: bool) {
         debug_assert_eq!(payload & TORN_BIT, 0, "payload must fit 63 bits");
         let word = payload | if self.polarity { TORN_BIT } else { 0 };
-        let addr = self.word_addr(self.head);
+        // `head` stays below `cap_words`: no wrap-around division here.
+        let addr = self.base + self.head * 8;
         if flush {
             mem.ntstore_u64(addr, word);
         } else {
@@ -459,7 +456,14 @@ impl TornLog {
     ) -> Vec<LogRecord> {
         let cap_words = capacity.as_u64() / 8;
         let word_at = |index: u64| -> u64 {
-            let addr = (base + (index % cap_words) * 8) as usize;
+            // The scan wraps `index` itself; only a corrupt tail pointer
+            // can start it out of range, so skip the division otherwise.
+            let slot = if index < cap_words {
+                index
+            } else {
+                index % cap_words
+            };
+            let addr = (base + slot * 8) as usize;
             u64::from_le_bytes(image[addr..addr + 8].try_into().expect("aligned read"))
         };
         let (tail, tail_polarity) =

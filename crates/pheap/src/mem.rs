@@ -346,8 +346,21 @@ impl PersistentMemory {
     ///
     /// Panics if the range exceeds the region.
     pub fn ntstore(&mut self, addr: u64, data: &[u8]) {
-        self.check(addr, data.len());
-        let meta = self.cache.ntstore_fast(addr, data.len() as u64);
+        self.ntstore_entry(addr, WcData::new(data));
+    }
+
+    /// Non-temporal store of a little-endian `u64` (a log word: the
+    /// payload is built in place, with no slice copy).
+    pub fn ntstore_u64(&mut self, addr: u64, value: u64) {
+        let mut bytes = [0u8; 16];
+        bytes[..8].copy_from_slice(&value.to_le_bytes());
+        self.ntstore_entry(addr, WcData::Inline { len: 8, bytes });
+    }
+
+    fn ntstore_entry(&mut self, addr: u64, data: WcData) {
+        let len = data.bytes().len();
+        self.check(addr, len);
+        let meta = self.cache.ntstore_fast(addr, len as u64);
         self.elapsed += meta.latency;
         if meta.writebacks > 0 {
             Self::persist_lines(
@@ -356,12 +369,7 @@ impl PersistentMemory {
                 self.cache.last_writebacks(),
             );
         }
-        self.wc_pending.push((addr, WcData::new(data)));
-    }
-
-    /// Non-temporal store of a little-endian `u64`.
-    pub fn ntstore_u64(&mut self, addr: u64, value: u64) {
-        self.ntstore(addr, &value.to_le_bytes());
+        self.wc_pending.push((addr, data));
     }
 
     /// Store fence: drains the write-combining buffers, making every
@@ -386,13 +394,21 @@ impl PersistentMemory {
     /// Panics if the range exceeds the region.
     pub fn clflush_range(&mut self, addr: u64, len: u64) {
         self.check(addr, len as usize);
-        for line in LineAddr::span(addr, len) {
-            let r = self.cache.clflush(line.first_byte());
+        if len != 0 && addr % LINE_SIZE + len <= LINE_SIZE {
+            // One line: the common per-line flush of the commit paths.
+            let r = self.cache.clflush(addr);
             self.elapsed += r.latency;
             if r.wrote_back {
-                self.persist_line(line);
+                self.persist_line(LineAddr::containing(addr));
             }
+            return;
         }
+        self.elapsed += self.cache.clflush_span(addr, len);
+        Self::persist_lines(
+            &mut self.durable,
+            &mut self.overlay,
+            self.cache.last_writebacks(),
+        );
     }
 
     /// The flush-on-fail save path: `wbinvd` plus a fence, making the
@@ -457,11 +473,11 @@ impl PersistentMemory {
     pub fn scrub(&mut self, addr: u64, len: u64) {
         self.check(addr, len as usize);
         self.durable[addr as usize..(addr + len) as usize].fill(0);
-        for line in LineAddr::span(addr, len) {
-            self.overlay.remove(line.index());
-            let r = self.cache.clflush(line.first_byte());
-            self.elapsed += r.latency;
+        if len > 0 {
+            self.overlay
+                .remove_range(addr / LINE_SIZE, (addr + len - 1) / LINE_SIZE + 1);
         }
+        self.elapsed += self.cache.clflush_span(addr, len);
         self.wc_pending.retain(|(a, data)| {
             let end = *a + data.bytes().len() as u64;
             end <= addr || *a >= addr + len

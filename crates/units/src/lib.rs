@@ -43,6 +43,7 @@
 
 mod bandwidth;
 mod electrical;
+pub mod fasthash;
 mod hist;
 mod size;
 mod stats;

@@ -69,6 +69,23 @@ cargo run --release --offline -p wsp-bench --features bench --bin bench_pr9 -- c
 echo "== group-decided 2PC gate (batching floor 2.0x, coordinator floor 1.8x) =="
 cargo run --release --offline -p wsp-bench --features bench --bin bench_pr10 -- check BENCH_PR10.json
 
+echo "== benchmark fingerprints: simulated output pinned per workload =="
+# A host-only change must leave every simulated latency, clock and
+# counter bitwise identical; each workload's fingerprint digests them.
+for pin in kv-foc:6564ceb8e3cea7a8 xshard-2pc:3010282090e5703b \
+    power-cycle:c1fd5e7f91659cc7 kv-lockfree:e7a53eae4511d5a9; do
+    workload=${pin%%:*}
+    want=${pin#*:}
+    got=$(cargo run --release --offline -q --manifest-path wspbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 2>&1 |
+        sed -n 's/^wspbench: .* fingerprint \([0-9a-f]*\)$/\1/p')
+    if [ "$got" != "$want" ]; then
+        echo "fingerprint mismatch for $workload: got '$got', pinned $want" >&2
+        exit 1
+    fi
+    echo "  -- $workload $got"
+done
+
 echo "== grouped split-resolution sweep: serial and sharded must agree =="
 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test crash_consistency grouped_split
 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test crash_consistency grouped_split

@@ -1022,3 +1022,103 @@ fn grouped_split_fixed_seed_corpus() {
         }
     }
 }
+
+/// Repeated fleet crashes through the pool path: every `CRASH_EVERY`
+/// transfers the fleet crashes with a group still open, and comes back
+/// through `resolve_cross_shard` and `CoordinatorPool::recover`.
+/// Returns the pool's unsettled count after each recovery, or the
+/// first error a submit or drain returned.
+fn pool_crash_cycles(settle: bool, cycles: usize) -> Result<Vec<usize>, HeapError> {
+    use std::collections::HashSet;
+    use wsp_det::{DetRng, Rng};
+    use wsp_repro::cluster::ClusterSpec;
+    use wsp_repro::pheap::PmPtr;
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool, SubmitOutcome};
+
+    const SHARDS: usize = 8;
+    const ACCOUNTS: usize = 16;
+    const COORDS: usize = 2;
+    const GROUP: usize = 32;
+    const CRASH_EVERY: usize = 1_000;
+
+    let mut heaps = Vec::with_capacity(SHARDS);
+    let mut cells: Vec<Vec<PmPtr>> = Vec::with_capacity(SHARDS);
+    for _ in 0..SHARDS {
+        let mut heap = PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo);
+        let mut tx = heap.begin();
+        let base = tx.alloc(ACCOUNTS as u64 * 64).unwrap();
+        let column: Vec<PmPtr> = (0..ACCOUNTS as u64)
+            .map(|a| base.byte_offset(a * 64))
+            .collect();
+        for &p in &column {
+            tx.write_word(p, 0).unwrap();
+        }
+        tx.set_root(base).unwrap();
+        tx.commit().unwrap();
+        heaps.push(heap);
+        cells.push(column);
+    }
+    let mut pool = CoordinatorPool::new(COORDS, GROUP);
+    let mut rng = DetRng::seed_from_u64(0x5749_5350);
+    let mut unsettled = Vec::with_capacity(cycles);
+    let mut t = 0u64;
+    for _ in 0..cycles {
+        let mut locked: HashSet<(usize, usize)> = HashSet::new();
+        for _ in 0..CRASH_EVERY {
+            let a = (rng.gen_range(0..SHARDS), rng.gen_range(0..ACCOUNTS));
+            let d = rng.gen_range(0..SHARDS - 1);
+            let b = (if d >= a.0 { d + 1 } else { d }, rng.gen_range(0..ACCOUNTS));
+            let owner = t as usize % COORDS;
+            if locked.contains(&a) || locked.contains(&b) {
+                pool.drain(owner, &mut heaps)?;
+                locked.clear();
+            }
+            let mut txn = pool.begin(owner, SHARDS);
+            txn.stage(a.0, cells[a.0][a.1].offset(), t);
+            txn.stage(b.0, cells[b.0][b.1].offset(), t);
+            match pool.submit(owner, &mut heaps, &txn)? {
+                SubmitOutcome::Committed { .. } => locked.clear(),
+                SubmitOutcome::Buffered => {
+                    locked.insert(a);
+                    locked.insert(b);
+                }
+                SubmitOutcome::Aborted { reason } => panic!("transfer {t} refused: {reason}"),
+            }
+            t += 1;
+        }
+        let image = pool.crash_image();
+        let images = heaps.drain(..).map(|h| Some(h.crash(false))).collect();
+        let recovery = resolve_cross_shard(&image, images, &ClusterSpec::memcache_tier(SHARDS));
+        assert!(recovery.fully_recovered());
+        pool = CoordinatorPool::recover(&image, COORDS, GROUP);
+        if settle {
+            pool.settle_recovered(&recovery)?;
+        }
+        unsettled.push(pool.unsettled());
+        heaps.extend(recovery.shards.into_iter().map(|s| s.heap.unwrap()));
+    }
+    Ok(unsettled)
+}
+
+/// Regression: the last group's settle markers ride no fence, so a
+/// crash loses them and `CoordinatorPool::recover` re-seals those
+/// decisions. Settled through `settle_recovered`, the pool stays
+/// bounded for 40 crash cycles; left unsettled, they pile up across
+/// recoveries until the decision log cannot hold them, which
+/// `submit`/`drain` now report as a typed `LogFull` instead of the
+/// append assertion's "log full" panic.
+#[test]
+fn pool_decision_log_survives_repeated_recoveries() {
+    let unsettled = pool_crash_cycles(true, 40).expect("settled pool never fills its log");
+    assert!(unsettled.iter().all(|&u| u == 0), "{unsettled:?}");
+
+    match pool_crash_cycles(false, 40) {
+        Err(HeapError::LogFull {
+            needed_words,
+            free_words,
+        }) => {
+            assert!(needed_words > free_words, "{needed_words} vs {free_words}");
+        }
+        other => panic!("unsettled decisions must fill the log with a typed error: {other:?}"),
+    }
+}

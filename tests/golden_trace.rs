@@ -312,6 +312,178 @@ fn cross_shard_coordinator_death(seed: u64) -> Capture {
     cap
 }
 
+/// The grouped-decision pool path end to end: two coordinators sharing
+/// one decision log seal several groups of seeded two-shard writes,
+/// the fleet crashes with an open group still buffered, and the whole
+/// deployment comes back through `resolve_cross_shard` and
+/// `CoordinatorPool::recover`. The recovered pool then commits a few
+/// more writes. Besides the program's own events, the scenario records
+/// each heap's and the pool's simulated clock and cache statistics at
+/// the crash and at the end, so every NT store, fence and flush the
+/// path issues is pinned, not only the event timestamps.
+fn cross_shard_pool_group(seed: u64) -> Capture {
+    use std::collections::HashSet;
+    use wsp_repro::det::{DetRng, Rng};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool, SubmitOutcome};
+
+    const SHARDS: usize = 4;
+    const ACCOUNTS: usize = 8;
+    const COORDS: usize = 2;
+    const GROUP: usize = 4;
+
+    let mut heaps = Vec::with_capacity(SHARDS);
+    let mut cells = Vec::with_capacity(SHARDS);
+    for s in 0..SHARDS as u64 {
+        let mut heap = PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo);
+        let mut tx = heap.begin();
+        let base = tx.alloc(ACCOUNTS as u64 * 64).unwrap();
+        let column: Vec<_> = (0..ACCOUNTS as u64)
+            .map(|a| {
+                let p = base.byte_offset(a * 64);
+                tx.write_word(p, 1_000 * s + a).unwrap();
+                p
+            })
+            .collect();
+        tx.set_root(base).unwrap();
+        tx.commit().unwrap();
+        heaps.push(heap);
+        cells.push(column);
+    }
+    let mut durable: Vec<Vec<u64>> = (0..SHARDS as u64)
+        .map(|s| (0..ACCOUNTS as u64).map(|a| 1_000 * s + a).collect())
+        .collect();
+
+    // Simulated state a crash or a recovery leaves behind: every heap's
+    // clock and cache counters, then the pool's.
+    fn snapshot(tag: &'static str, heaps: &[PersistentHeap], pool: &CoordinatorPool) {
+        for (s, heap) in heaps.iter().enumerate() {
+            obs::emit_detail(
+                "golden",
+                tag,
+                heap.elapsed(),
+                s as i64,
+                0,
+                format!("{:?}", heap.mem().cache().stats()),
+            );
+        }
+        obs::emit(
+            "golden",
+            tag,
+            pool.wall(),
+            -1,
+            pool.elapsed().as_nanos() as i64,
+        );
+    }
+
+    let ((), cap) = obs::capture(|| {
+        obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut pool = CoordinatorPool::new(COORDS, GROUP);
+        // Writes whose decision is buffered in the open group.
+        let mut open: Vec<(usize, usize, u64)> = Vec::new();
+        let mut locked: HashSet<(usize, usize)> = HashSet::new();
+        let mut transfer = |t: u64,
+                            pool: &mut CoordinatorPool,
+                            heaps: &mut Vec<PersistentHeap>,
+                            open: &mut Vec<(usize, usize, u64)>,
+                            locked: &mut HashSet<(usize, usize)>,
+                            durable: &mut Vec<Vec<u64>>| {
+            let a = (rng.gen_range(0..SHARDS), rng.gen_range(0..ACCOUNTS));
+            let d = rng.gen_range(0..SHARDS - 1);
+            let b = (if d >= a.0 { d + 1 } else { d }, rng.gen_range(0..ACCOUNTS));
+            let owner = t as usize % COORDS;
+            if locked.contains(&a) || locked.contains(&b) {
+                pool.drain(owner, heaps).unwrap();
+                for (s, c, v) in open.drain(..) {
+                    durable[s][c] = v;
+                }
+                locked.clear();
+            }
+            let mut txn = pool.begin(owner, SHARDS);
+            let value = seed * 100_000 + t;
+            txn.stage(a.0, cells[a.0][a.1].offset(), value);
+            txn.stage(b.0, cells[b.0][b.1].offset(), value + 1);
+            let outcome = pool.submit(owner, heaps, &txn).unwrap();
+            open.push((a.0, a.1, value));
+            open.push((b.0, b.1, value + 1));
+            locked.insert(a);
+            locked.insert(b);
+            match outcome {
+                SubmitOutcome::Committed { .. } => {
+                    for (s, c, v) in open.drain(..) {
+                        durable[s][c] = v;
+                    }
+                    locked.clear();
+                }
+                SubmitOutcome::Buffered => {}
+                SubmitOutcome::Aborted { reason } => panic!("seed {seed} t {t}: {reason}"),
+            }
+        };
+        for t in 0..22 {
+            transfer(
+                t,
+                &mut pool,
+                &mut heaps,
+                &mut open,
+                &mut locked,
+                &mut durable,
+            );
+        }
+        if open.is_empty() {
+            transfer(
+                22,
+                &mut pool,
+                &mut heaps,
+                &mut open,
+                &mut locked,
+                &mut durable,
+            );
+        }
+        assert!(
+            pool.buffered() > 0,
+            "seed {seed}: the crash must catch an open group"
+        );
+        snapshot("at_crash", &heaps, &pool);
+
+        // Crash with the open group buffered: its writes must vanish.
+        let coordinator_image = pool.crash_image();
+        let images = heaps.drain(..).map(|h| Some(h.crash(false))).collect();
+        let recovery =
+            resolve_cross_shard(&coordinator_image, images, &ClusterSpec::memcache_tier(8));
+        assert!(recovery.fully_recovered(), "seed {seed}");
+        let mut pool = CoordinatorPool::recover(&coordinator_image, COORDS, GROUP);
+        heaps.extend(recovery.shards.into_iter().map(|s| s.heap.unwrap()));
+        open.clear();
+        locked.clear();
+        for (s, heap) in heaps.iter_mut().enumerate() {
+            let mut check = heap.begin();
+            for (a, &want) in durable[s].iter().enumerate() {
+                assert_eq!(
+                    check.read_word(cells[s][a]).unwrap(),
+                    want,
+                    "seed {seed} {s}/{a}"
+                );
+            }
+            check.commit().unwrap();
+        }
+        snapshot("recovered", &heaps, &pool);
+
+        for t in 100..106 {
+            transfer(
+                t,
+                &mut pool,
+                &mut heaps,
+                &mut open,
+                &mut locked,
+                &mut durable,
+            );
+        }
+        pool.drain(0, &mut heaps).unwrap();
+        snapshot("final", &heaps, &pool);
+    });
+    cap
+}
+
 // ---- the pinned corpus -------------------------------------------------
 
 #[test]
@@ -364,6 +536,13 @@ fn cross_shard_coordinator_death_trace_is_pinned() {
             seed,
             &cross_shard_coordinator_death(seed),
         );
+    }
+}
+
+#[test]
+fn cross_shard_pool_group_trace_is_pinned() {
+    for seed in seeds() {
+        pin("cross_shard_pool_group", seed, &cross_shard_pool_group(seed));
     }
 }
 
