@@ -11,9 +11,10 @@
 //!    clflush per line) and covers it with a fenced
 //!    [`wsp_pheap::RecordKind::Prepare`] marker. From that marker on the
 //!    shard is bound by the coordinator's decision.
-//! 2. **Decide** — the coordinator appends one fenced commit record for
-//!    the global txid to its own durable torn-bit log. This single
-//!    store is the transaction's commit point.
+//! 2. **Decide** — the coordinator appends one fenced
+//!    [`wsp_pheap::RecordKind::GroupDecision`] record naming the global
+//!    txid to its own durable torn-bit log. This single store is the
+//!    transaction's commit point.
 //! 3. **Commit** — each participant writes a fenced local commit marker
 //!    (and the redo flavour applies its buffered writes in place), so
 //!    later recoveries never consult the coordinator again.
@@ -29,19 +30,20 @@
 //!
 //! # Group-decided commit
 //!
-//! PR 7's prepare rebates left the *decision record* — one fenced store
-//! per transaction — as the dominant serial cost on the 2PC path. The
+//! With the prepares rebated, the *decision record* — one fenced store
+//! per transaction — is the dominant serial cost on the 2PC path. The
 //! [`CoordinatorPool`] amortizes it exactly the way the epoch seal
 //! amortizes local commits: coordinators buffer decided gtxids and seal
-//! the whole batch with a single fenced
-//! [`wsp_pheap::RecordKind::GroupDecision`] record, so N transactions
-//! pay one decision fence. Multiple coordinators share that one
-//! decision log, stamped with per-coordinator *generation numbers*
-//! packed into each group entry; recovery replays the shared log and
-//! [`CoordinatorPool::attribute`]s every decided gtxid back to the
-//! coordinator generation that sealed it. Presumed abort extends to
-//! torn group records: any strict prefix of the record's words recovers
-//! *no* member, so a group is decided all-or-nothing.
+//! the whole batch with a single fenced group record, so N transactions
+//! pay one decision fence. A pool of one coordinator with group size 1
+//! is the per-transaction coordinator: every decision seals alone.
+//! Multiple coordinators share that one decision log, stamped with
+//! per-coordinator *generation numbers* packed into each group entry;
+//! recovery replays the shared log and [`CoordinatorPool::attribute`]s
+//! every decided gtxid back to the coordinator generation that sealed
+//! it. Presumed abort extends to torn group records: any strict prefix
+//! of the record's words recovers *no* member, so a group is decided
+//! all-or-nothing.
 
 use wsp_cluster::ClusterSpec;
 use wsp_obs as obs;
@@ -63,7 +65,7 @@ const DECISION_LOG_CAP: ByteSize = ByteSize::kib(8);
 const DECISION_REGION: ByteSize = ByteSize::kib(64);
 
 /// Optional write-routing log (same region, after the decision log):
-/// records every committed transaction's write set so a shard whose
+/// records every decided transaction's write set so a shard whose
 /// NVRAM image was sacrificed can be rebuilt from an old back-end
 /// checkpoint *plus* a replay of the cross-shard writes it voted for.
 const ROUTING_TAIL_ADDR: u64 = 16;
@@ -76,7 +78,7 @@ const ROUTE_SHARD_SHIFT: u32 = 48;
 const ROUTE_ADDR_MASK: u64 = (1 << ROUTE_SHARD_SHIFT) - 1;
 
 /// A cross-shard transaction buffering writes per participant shard
-/// until [`TxnCoordinator::commit`] runs the two-phase seal.
+/// until [`CoordinatorPool::submit`] runs the two-phase seal.
 #[derive(Debug, Clone)]
 pub struct CrossShardTxn {
     gtxid: u64,
@@ -120,11 +122,11 @@ impl CrossShardTxn {
     }
 }
 
-/// How a cross-shard commit ended.
+/// How a cross-shard transaction ended, as a workload reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnOutcome {
-    /// Decision marker durable and every participant holds its local
-    /// commit marker.
+    /// Decision durable (or buffered into a group that seals before the
+    /// run ends) and every participant holds its local commit marker.
     Committed,
     /// A prepare was refused before the decision; every already-prepared
     /// participant was rolled back.
@@ -132,455 +134,6 @@ pub enum TxnOutcome {
         /// The refusing shard's error.
         reason: String,
     },
-}
-
-/// The 2PC coordinator: assigns global txids and owns the durable
-/// decision log that in-doubt shards are resolved against.
-///
-/// # Examples
-///
-/// ```
-/// use wsp_core::TxnCoordinator;
-/// use wsp_pheap::{HeapConfig, PersistentHeap};
-/// use wsp_units::ByteSize;
-///
-/// let mut shards = vec![
-///     PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo),
-///     PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo),
-/// ];
-/// // One committed cell per shard to transact over.
-/// let mut cells = Vec::new();
-/// for heap in &mut shards {
-///     let mut tx = heap.begin();
-///     let p = tx.alloc(8).unwrap();
-///     tx.write_word(p, 100).unwrap();
-///     tx.set_root(p).unwrap();
-///     tx.commit().unwrap();
-///     cells.push(p.offset());
-/// }
-///
-/// let mut coordinator = TxnCoordinator::new();
-/// let mut txn = coordinator.begin(shards.len());
-/// txn.stage(0, cells[0], 70); // transfer 30 from shard 0 ...
-/// txn.stage(1, cells[1], 130); // ... to shard 1
-/// let outcome = coordinator.commit(&mut shards, &txn).unwrap();
-/// assert_eq!(outcome, wsp_core::TxnOutcome::Committed);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TxnCoordinator {
-    mem: PersistentMemory,
-    log: TornLog,
-    next: u64,
-    /// Recorded decisions some participant may still ask for (no durable
-    /// local marker everywhere yet). While any remain the decision log
-    /// must not truncate; once the set drains every logged decision is
-    /// dead weight and the log can recycle.
-    unsettled: FastSet<u64>,
-    /// The write-routing log, when this coordinator was opened with
-    /// [`TxnCoordinator::with_routing`]. `None` keeps the classic
-    /// coordinator bit-for-bit unchanged.
-    routing: Option<TornLog>,
-}
-
-impl Default for TxnCoordinator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TxnCoordinator {
-    /// A fresh coordinator with an empty, initialized decision log.
-    #[must_use]
-    pub fn new() -> Self {
-        let mut mem = PersistentMemory::new(DECISION_REGION);
-        let log = TornLog::new(DECISION_LOG_BASE, DECISION_LOG_CAP, DECISION_TAIL_ADDR);
-        log.initialize(&mut mem);
-        TxnCoordinator {
-            mem,
-            log,
-            next: 0,
-            unsettled: FastSet::default(),
-            routing: None,
-        }
-    }
-
-    /// A fresh coordinator that additionally routes every committed
-    /// transaction's write set into a second durable log. Routing costs
-    /// one fenced append per write at decision time and buys the storm
-    /// path its strongest guarantee: a shard sacrificed by the power
-    /// domain's triage can be rebuilt from a *stale* back-end checkpoint
-    /// and still end up holding every committed cross-shard write.
-    #[must_use]
-    pub fn with_routing() -> Self {
-        let mut coordinator = Self::new();
-        let routing = TornLog::new(ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
-        routing.initialize(&mut coordinator.mem);
-        coordinator.routing = Some(routing);
-        coordinator
-    }
-
-    /// [`TxnCoordinator::recover`], for a coordinator that was opened
-    /// with [`TxnCoordinator::with_routing`]: the routed write history
-    /// is carried across the restart along with the decisions, so a
-    /// shard sacrificed *before* the coordinator itself crashed can
-    /// still be rebuilt afterwards.
-    #[must_use]
-    pub fn recover_routed(coordinator_image: &[u8]) -> Self {
-        let mut coordinator = Self::recover(coordinator_image);
-        let mut routing = TornLog::new(ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
-        routing.initialize(&mut coordinator.mem);
-        let mut routed = recover_routing(coordinator_image);
-        routed.sort_by_key(|w| (w.gtxid, w.shard, w.addr));
-        for w in &routed {
-            routing.append(
-                &mut coordinator.mem,
-                &LogRecord::write(
-                    w.gtxid,
-                    ((w.shard as u64) << ROUTE_SHARD_SHIFT) | w.addr,
-                    w.value,
-                ),
-                true,
-            );
-        }
-        // A settled decision is prunable for *in-doubt* resolution, but
-        // the routed-rebuild path still needs it: a shard sacrificed in
-        // a later outage is rebuilt from its checkpoint plus a replay of
-        // routed writes filtered on the decided set. Re-pin every
-        // settled decision the routing log still carries writes for —
-        // they stay answerable (and survive compaction as unsettled)
-        // until the routing history itself is pruned.
-        let decided = recover_decisions(coordinator_image);
-        let settled = recover_settled(coordinator_image);
-        let mut pins: Vec<u64> = routed
-            .iter()
-            .map(|w| w.gtxid)
-            .filter(|g| settled.contains(g) && decided.contains(g))
-            .collect();
-        pins.sort_unstable();
-        pins.dedup();
-        for &gtxid in &pins {
-            coordinator
-                .log
-                .append(&mut coordinator.mem, &LogRecord::commit(gtxid), true);
-            coordinator.unsettled.insert(gtxid);
-        }
-        coordinator.mem.sfence();
-        coordinator.routing = Some(routing);
-        coordinator
-    }
-
-    /// Rebuilds a coordinator from its crashed decision log: every
-    /// *unsettled* durable decision is re-appended to a fresh log (so
-    /// in-doubt shards can still be resolved against it) and the txid
-    /// counter resumes above every decided gtxid — settled or not — as a
-    /// restarted coordinator must never reissue a gtxid that a surviving
-    /// shard's log already holds a decision marker for, or that shard's
-    /// recovery would mistake a new in-doubt transaction for a decided
-    /// one.
-    ///
-    /// Decisions covered by a durable [`RecordKind::Settle`] marker are
-    /// *pruned* here: every participant already holds its local phase-2
-    /// marker, so no recovery will ever ask for them again and replaying
-    /// them forever would only grow the log. Decisions without a settle
-    /// marker start out unsettled; call [`TxnCoordinator::settle`] once
-    /// every participant is known to hold its local marker. An
-    /// issued-but-undecided gtxid from before the crash can be reissued,
-    /// which is safe: recovered shards resolved it by presumed abort and
-    /// scrubbed their logs, and a surviving shard still holding it
-    /// prepared refuses the reissue with a conflict.
-    #[must_use]
-    pub fn recover(coordinator_image: &[u8]) -> Self {
-        let mut coordinator = Self::new();
-        let settled = recover_settled(coordinator_image);
-        let mut decided: Vec<u64> = recover_decisions(coordinator_image).into_iter().collect();
-        decided.sort_unstable();
-        for &gtxid in decided.iter().filter(|g| !settled.contains(g)) {
-            coordinator
-                .log
-                .append(&mut coordinator.mem, &LogRecord::commit(gtxid), true);
-            coordinator.unsettled.insert(gtxid);
-        }
-        coordinator.mem.sfence();
-        coordinator.next = decided.last().map_or(0, |&g| g - GTXID_BASE + 1);
-        coordinator
-    }
-
-    /// Simulated time the coordinator's own durable operations have
-    /// cost.
-    #[must_use]
-    pub fn elapsed(&self) -> Nanos {
-        self.mem.elapsed()
-    }
-
-    /// Opens a cross-shard transaction over `shards` shards.
-    pub fn begin(&mut self, shards: usize) -> CrossShardTxn {
-        let gtxid = GTXID_BASE + self.next;
-        self.next += 1;
-        let txn = CrossShardTxn {
-            gtxid,
-            writes: vec![Vec::new(); shards],
-        };
-        obs::emit(
-            "txn",
-            "begin",
-            self.mem.elapsed(),
-            txn.short_id(),
-            shards as i64,
-        );
-        txn
-    }
-
-    /// Phase 1 on one participant: durable PREPARED record on `heap`.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`PersistentHeap::prepare_distributed`] refuses with;
-    /// the caller (or [`TxnCoordinator::commit`]) must then abort the
-    /// already-prepared participants.
-    pub fn prepare_shard(
-        &mut self,
-        heap: &mut PersistentHeap,
-        shard: usize,
-        txn: &CrossShardTxn,
-    ) -> Result<(), HeapError> {
-        heap.prepare_distributed(txn.gtxid, txn.writes_for(shard))?;
-        obs::emit(
-            "txn",
-            "prepare",
-            heap.elapsed(),
-            shard as i64,
-            txn.short_id(),
-        );
-        obs::count(obs::Ctr::TxnPrepares);
-        Ok(())
-    }
-
-    /// The commit point: appends the fenced decision record for `txn` to
-    /// the coordinator's durable log. After this store the transaction
-    /// commits everywhere, no matter which nodes crash.
-    pub fn record_decision(&mut self, txn: &CrossShardTxn) {
-        self.truncate_if_settled();
-        // Route the write set *before* the decision record: a crash
-        // between the two leaves routed writes for an undecided gtxid,
-        // which replay ignores (presumed abort); the reverse order could
-        // leave a decided transaction with no routed writes to rebuild
-        // a sacrificed shard from.
-        if let Some(routing) = &mut self.routing {
-            for shard in txn.participants() {
-                for &(addr, value) in txn.writes_for(shard) {
-                    routing.append(
-                        &mut self.mem,
-                        &LogRecord::write(
-                            txn.gtxid,
-                            ((shard as u64) << ROUTE_SHARD_SHIFT) | addr,
-                            value,
-                        ),
-                        true,
-                    );
-                }
-            }
-        }
-        self.log
-            .append(&mut self.mem, &LogRecord::commit(txn.gtxid), true);
-        self.mem.sfence();
-        self.unsettled.insert(txn.gtxid);
-        obs::emit("txn", "decide", self.mem.elapsed(), txn.short_id(), 1);
-        obs::count(obs::Ctr::TxnDecisions);
-    }
-
-    /// Phase 2 on one participant: durable local commit marker on
-    /// `heap`.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::NoTransaction`] if the txn was never prepared there.
-    pub fn commit_shard(
-        &mut self,
-        heap: &mut PersistentHeap,
-        shard: usize,
-        txn: &CrossShardTxn,
-    ) -> Result<(), HeapError> {
-        heap.commit_distributed(txn.gtxid)?;
-        obs::emit(
-            "txn",
-            "commit_shard",
-            heap.elapsed(),
-            shard as i64,
-            txn.short_id(),
-        );
-        obs::count(obs::Ctr::TxnShardCommits);
-        Ok(())
-    }
-
-    /// Rolls back a prepared participant (coordinator-initiated abort).
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::NoTransaction`] if the txn was never prepared there.
-    pub fn abort_shard(
-        &mut self,
-        heap: &mut PersistentHeap,
-        shard: usize,
-        txn: &CrossShardTxn,
-    ) -> Result<(), HeapError> {
-        heap.abort_distributed(txn.gtxid)?;
-        obs::emit(
-            "txn",
-            "abort_shard",
-            heap.elapsed(),
-            shard as i64,
-            txn.short_id(),
-        );
-        Ok(())
-    }
-
-    /// Marks `gtxid`'s decision as settled: every participant holds a
-    /// durable local marker, so no recovery will ever ask the decision
-    /// log for it again. Protocol drivers that record decisions directly
-    /// (via [`TxnCoordinator::record_decision`]) must call this once the
-    /// phase-2 markers land, or the decision log can never truncate.
-    ///
-    /// Settling is itself made durable with a [`RecordKind::Settle`]
-    /// marker (unfenced — it rides the next fence; losing it merely
-    /// means a conservative replay), which is what lets
-    /// [`TxnCoordinator::recover`] prune the decision instead of
-    /// carrying it forever.
-    pub fn settle(&mut self, gtxid: u64) {
-        self.unsettled.remove(&gtxid);
-        self.log
-            .append(&mut self.mem, &LogRecord::settle(gtxid), true);
-        self.truncate_if_settled();
-    }
-
-    /// Truncates the decision log when it is running low. With nothing
-    /// unsettled the whole log is dead weight and drops in one step;
-    /// otherwise the unsettled decisions are re-appended ahead of the
-    /// new tail first (the PR 6 preserving-truncation protocol), so an
-    /// in-doubt shard can still resolve against them at any crash point
-    /// while the settled bulk recycles.
-    fn truncate_if_settled(&mut self) {
-        if !self.log.needs_truncation() {
-            return;
-        }
-        if self.unsettled.is_empty() {
-            self.log.truncate(&mut self.mem, true);
-            return;
-        }
-        let mark = self.log.mark();
-        let mut live: Vec<u64> = self.unsettled.iter().copied().collect();
-        live.sort_unstable();
-        for &gtxid in &live {
-            self.log
-                .append(&mut self.mem, &LogRecord::commit(gtxid), true);
-        }
-        self.mem.sfence();
-        self.log.truncate_to(&mut self.mem, mark, true);
-    }
-
-    /// Runs the full two-phase seal for `txn` against `heaps`: prepares
-    /// every participant in ascending shard order, records the durable
-    /// decision, then writes every participant's commit marker. A
-    /// refused prepare aborts the already-prepared participants and
-    /// returns [`TxnOutcome::Aborted`] — the transaction is then visible
-    /// on no shard.
-    ///
-    /// # Errors
-    ///
-    /// Only on protocol misuse (e.g. a participant shard that was
-    /// swapped out mid-commit); prepare refusals are a normal
-    /// [`TxnOutcome::Aborted`], not an error.
-    pub fn commit(
-        &mut self,
-        heaps: &mut [PersistentHeap],
-        txn: &CrossShardTxn,
-    ) -> Result<TxnOutcome, HeapError> {
-        let participants = txn.participants();
-        let clock = |mem_elapsed: Nanos, heaps: &[PersistentHeap]| {
-            participants
-                .iter()
-                .fold(mem_elapsed, |acc, &s| acc + heaps[s].elapsed())
-        };
-        let t0 = clock(self.mem.elapsed(), heaps);
-        let mut prepared: Vec<usize> = Vec::with_capacity(participants.len());
-        let mut phase_times: Vec<(usize, Nanos)> = Vec::with_capacity(participants.len());
-        for &shard in &participants {
-            let p0 = heaps[shard].elapsed();
-            match self.prepare_shard(&mut heaps[shard], shard, txn) {
-                Ok(()) => {
-                    prepared.push(shard);
-                    phase_times.push((shard, heaps[shard].elapsed() - p0));
-                }
-                Err(refusal) => {
-                    for &p in &prepared {
-                        self.abort_shard(&mut heaps[p], p, txn)?;
-                    }
-                    obs::emit("txn", "abort", self.mem.elapsed(), txn.short_id(), 0);
-                    obs::count(obs::Ctr::TxnAborts);
-                    return Ok(TxnOutcome::Aborted {
-                        reason: refusal.to_string(),
-                    });
-                }
-            }
-        }
-        // The participants prepared concurrently in real time; only the
-        // slowest one bounds the phase. The fleet clock sums per-shard
-        // charges, so rebate every other participant's prepare.
-        Self::rebate_overlapped(heaps, &mut phase_times);
-        self.record_decision(txn);
-        for &shard in &participants {
-            let c0 = heaps[shard].elapsed();
-            self.commit_shard(&mut heaps[shard], shard, txn)?;
-            phase_times.push((shard, heaps[shard].elapsed() - c0));
-        }
-        // Phase-2 markers land concurrently too.
-        Self::rebate_overlapped(heaps, &mut phase_times);
-        self.settle(txn.gtxid());
-        let t1 = clock(self.mem.elapsed(), heaps);
-        obs::observe(obs::Hist::TxnCommit, t1 - t0);
-        Ok(TxnOutcome::Committed)
-    }
-
-    /// Rebates all but the slowest entry of one concurrent 2PC phase:
-    /// the participants ran their prepares (or phase-2 commits) in
-    /// parallel, so a fleet clock that sums per-shard time should
-    /// advance by the phase's maximum, not its total. Drains `times`
-    /// for reuse by the next phase.
-    fn rebate_overlapped(heaps: &mut [PersistentHeap], times: &mut Vec<(usize, Nanos)>) {
-        if times.len() < 2 {
-            times.clear();
-            return;
-        }
-        let slowest = times
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &(_, d))| d)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        for (i, (shard, d)) in times.drain(..).enumerate() {
-            if i != slowest {
-                heaps[shard].rebate(d);
-            }
-        }
-    }
-
-    /// The coordinator's durable bytes as they would survive a power
-    /// failure right now: every fenced decision record, nothing else.
-    /// Feed this to [`recover_decisions`] or [`resolve_cross_shard`].
-    #[must_use]
-    pub fn crash_image(&self) -> Vec<u8> {
-        self.mem.clone().crash(false)
-    }
-
-    /// Discards the routed write history (a no-op without routing).
-    /// Call only once every shard's back-end checkpoint is newer than
-    /// every routed write — replayed rebuilds reach no further back
-    /// than the surviving routing log.
-    pub fn prune_routing(&mut self) {
-        if let Some(routing) = &mut self.routing {
-            routing.truncate(&mut self.mem, true);
-            self.mem.sfence();
-        }
-    }
 }
 
 /// Where a gtxid's coordinator index lives inside the id: gtxids issued
@@ -634,6 +187,9 @@ struct PendingDecision {
     generation: u64,
     gtxid: u64,
     participants: Vec<usize>,
+    /// `(shard, addr, value)` for every write, kept only when the pool
+    /// routes write sets (see [`CoordinatorPool::with_routing`]).
+    routed: Vec<(usize, u64, u64)>,
     /// Owner's simulated clock when the decision was buffered — the
     /// numerator of `txn.decision_stall_time`.
     buffered_at: Nanos,
@@ -648,6 +204,8 @@ struct CoordSlot {
     generation: u64,
     /// Next sequence number (low gtxid bits).
     next_seq: u64,
+    /// Highest decided gtxid: the mark a restart must resume above.
+    high: Option<u64>,
     /// This coordinator's simulated clock.
     clock: Nanos,
 }
@@ -656,15 +214,17 @@ struct CoordSlot {
 /// log, with group-decided commit: decided gtxids buffer until a size
 /// (or age) trigger seals them all under a *single* fenced
 /// [`RecordKind::GroupDecision`] record — N transactions, one decision
-/// fence. Concurrency is modeled on the simulated clock exactly like
-/// PR 7's participant rebates: each coordinator owns a clock, shards
-/// and the shared log are resources with availability times, and the
-/// pool's wall clock is the maximum coordinator clock — so only the
-/// slowest coordinator in a group pays unrebated time.
+/// fence. Concurrency is modeled on the simulated clock: each
+/// coordinator owns a clock, shards and the shared log are resources
+/// with availability times, the participants of one phase run
+/// concurrently, and the pool's wall clock is the maximum coordinator
+/// clock — so only the slowest coordinator in a group pays unrebated
+/// time.
 ///
-/// The decision-log layout matches [`TxnCoordinator`]'s, so
-/// [`resolve_cross_shard`] and [`recover_decisions`] work unchanged on
-/// a pool's crash image.
+/// `CoordinatorPool::new(1, 1)` is the per-transaction coordinator:
+/// one clock, and every decision sealed alone by its own fence.
+/// [`resolve_cross_shard`] and [`recover_decisions`] read a pool's
+/// crash image directly.
 ///
 /// # Examples
 ///
@@ -719,6 +279,13 @@ pub struct CoordinatorPool {
     shard_free: Vec<Nanos>,
     /// Discrete-event availability of the shared decision log.
     log_free: Nanos,
+    /// Highest decided gtxid of each coordinator past the pool's size,
+    /// read from a recovered log and carried forward, so that a later,
+    /// larger pool resumes those coordinators above their marks.
+    foreign_marks: Vec<u64>,
+    /// The write-routing log, when opened with
+    /// [`CoordinatorPool::with_routing`].
+    routing: Option<TornLog>,
 }
 
 impl CoordinatorPool {
@@ -748,6 +315,7 @@ impl CoordinatorPool {
                 CoordSlot {
                     generation: 1,
                     next_seq: 0,
+                    high: None,
                     clock: Nanos::ZERO,
                 };
                 coordinators
@@ -758,7 +326,25 @@ impl CoordinatorPool {
             decided: FastMap::default(),
             shard_free: Vec::new(),
             log_free: Nanos::ZERO,
+            foreign_marks: Vec::new(),
+            routing: None,
         }
+    }
+
+    /// Adds the write-routing log: every sealed transaction's write set
+    /// is appended to a second durable log, before its group record.
+    /// Routing costs one append per write at decision time and buys the
+    /// storm path its strongest guarantee: a shard sacrificed by the
+    /// power domain's triage can be rebuilt from a *stale* back-end
+    /// checkpoint and still end up holding every committed cross-shard
+    /// write (see [`recover_routing`] and [`reapply_routed`]). Without
+    /// it the pool writes nothing to the routing area.
+    #[must_use]
+    pub fn with_routing(mut self) -> Self {
+        let routing = TornLog::new(ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
+        routing.initialize(&mut self.mem);
+        self.routing = Some(routing);
+        self
     }
 
     /// Adds an age trigger: a submission also seals when the oldest
@@ -870,14 +456,8 @@ impl CoordinatorPool {
     ) -> Result<Option<String>, HeapError> {
         let mut phase_end = self.coords[coordinator].clock;
         for (i, &shard) in participants.iter().enumerate() {
-            let h0 = heaps[shard].elapsed();
-            match heaps[shard].prepare_distributed(txn.gtxid, txn.writes_for(shard)) {
-                Ok(()) => {
-                    let end = self.run_on_shard(coordinator, shard, heaps[shard].elapsed() - h0);
-                    phase_end = phase_end.max(end);
-                    obs::emit("txn", "prepare", end, shard as i64, txn.short_id());
-                    obs::count(obs::Ctr::TxnPrepares);
-                }
+            match self.prepare_shard(coordinator, heaps, shard, txn) {
+                Ok(end) => phase_end = phase_end.max(end),
                 Err(refusal) => {
                     for &p in &participants[..i] {
                         let a0 = heaps[p].elapsed();
@@ -896,20 +476,91 @@ impl CoordinatorPool {
         Ok(None)
     }
 
+    /// Phase 1 on one participant: the durable PREPARED record for
+    /// `txn` on `heaps[shard]`, run on `coordinator`'s clock. Returns
+    /// the step's end. The coordinator's clock stays put: the
+    /// participants of one phase run concurrently, and
+    /// [`prepare`](Self::prepare) closes the phase at the slowest one.
+    /// Driving the steps one by one lets a caller stop between them.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`PersistentHeap::prepare_distributed`] refuses with;
+    /// the caller must then abort the already-prepared participants.
+    pub fn prepare_shard(
+        &mut self,
+        coordinator: usize,
+        heaps: &mut [PersistentHeap],
+        shard: usize,
+        txn: &CrossShardTxn,
+    ) -> Result<Nanos, HeapError> {
+        let h0 = heaps[shard].elapsed();
+        heaps[shard].prepare_distributed(txn.gtxid, txn.writes_for(shard))?;
+        let end = self.run_on_shard(coordinator, shard, heaps[shard].elapsed() - h0);
+        obs::emit("txn", "prepare", end, shard as i64, txn.short_id());
+        obs::count(obs::Ctr::TxnPrepares);
+        Ok(end)
+    }
+
+    /// Phase 2 on one participant: the durable local commit marker for
+    /// a sealed `gtxid` on `heaps[shard]`, run on `coordinator`'s clock.
+    /// Returns the step's end; as for
+    /// [`prepare_shard`](Self::prepare_shard), the coordinator's clock
+    /// stays put. The decision stays sealed-but-uncompleted, so a caller
+    /// that commits a participant by hand must not also run
+    /// [`complete_sealed`](Self::complete_sealed) for it.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::NoTransaction`] if `gtxid` was never prepared there.
+    pub fn commit_shard(
+        &mut self,
+        coordinator: usize,
+        heaps: &mut [PersistentHeap],
+        shard: usize,
+        gtxid: u64,
+    ) -> Result<Nanos, HeapError> {
+        let h0 = heaps[shard].elapsed();
+        heaps[shard].commit_distributed(gtxid)?;
+        let end = self.run_on_shard(coordinator, shard, heaps[shard].elapsed() - h0);
+        obs::emit(
+            "txn",
+            "commit_shard",
+            end,
+            shard as i64,
+            (gtxid - GTXID_BASE) as i64,
+        );
+        obs::count(obs::Ctr::TxnShardCommits);
+        Ok(end)
+    }
+
     /// Buffers `txn`'s commit decision on `coordinator`. The decision is
     /// *volatile* until a seal covers it: a crash before the covering
     /// group record fences resolves the transaction by presumed abort.
     pub fn buffer_decision(&mut self, coordinator: usize, txn: &CrossShardTxn) {
-        self.buffer_on(coordinator, txn.gtxid, txn.participants());
+        self.buffer_on(coordinator, txn, txn.participants());
     }
 
-    fn buffer_on(&mut self, coordinator: usize, gtxid: u64, participants: Vec<usize>) {
+    fn buffer_on(&mut self, coordinator: usize, txn: &CrossShardTxn, participants: Vec<usize>) {
+        let routed = if self.routing.is_some() {
+            participants
+                .iter()
+                .flat_map(|&shard| {
+                    txn.writes_for(shard)
+                        .iter()
+                        .map(move |&(addr, value)| (shard, addr, value))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let slot = &self.coords[coordinator];
         self.pending.push(PendingDecision {
             coordinator,
             generation: slot.generation,
-            gtxid,
+            gtxid: txn.gtxid,
             participants,
+            routed,
             buffered_at: slot.clock,
         });
     }
@@ -949,20 +600,18 @@ impl CoordinatorPool {
     }
 
     /// [`seal_decisions`](Self::seal_decisions), refusing with
-    /// [`HeapError::LogFull`] when the log lacks room for the
-    /// compaction's re-sealed group, or afterwards for the new group
+    /// [`HeapError::LogFull`] when the log lacks room for the new group
     /// record and — with `settle_room` — the settle marker phase 2
-    /// appends for each member. A refusal of the second kind comes after
-    /// a completed compaction: the re-sealed group is durable, the log
-    /// truncated and the pool's simulated clock advanced. The new
-    /// group's record is never appended on refusal.
+    /// appends for each member, even after a compaction. A refusal
+    /// leaves the pool as it was: the log compacts only when the group
+    /// then fits.
     fn try_seal(&mut self, sealer: usize, settle_room: bool) -> Result<usize, HeapError> {
         if self.pending.is_empty() {
             return Ok(0);
         }
-        self.compact_decision_log()?;
         let group = self.pending.len() as u64;
         let needed = group + 1 + if settle_room { group } else { 0 };
+        self.compact_decision_log(needed)?;
         if self.log.free_words() < needed {
             return Err(HeapError::LogFull {
                 needed_words: needed,
@@ -975,6 +624,26 @@ impl CoordinatorPool {
             .map(|p| pack_group_entry(p.generation, p.gtxid))
             .collect();
         let m0 = self.mem.elapsed();
+        // Route the write sets *before* the group record: a crash
+        // between the two leaves routed writes for undecided gtxids,
+        // which replay ignores (presumed abort); the reverse order could
+        // leave a decided transaction with no routed writes to rebuild a
+        // sacrificed shard from.
+        if let Some(routing) = &mut self.routing {
+            for p in &self.pending {
+                for &(shard, addr, value) in &p.routed {
+                    routing.append(
+                        &mut self.mem,
+                        &LogRecord::write(
+                            p.gtxid,
+                            ((shard as u64) << ROUTE_SHARD_SHIFT) | addr,
+                            value,
+                        ),
+                        true,
+                    );
+                }
+            }
+        }
         self.log.append_group_decision(&mut self.mem, &entries, true);
         self.mem.sfence();
         let seal_cost = self.mem.elapsed() - m0;
@@ -988,6 +657,7 @@ impl CoordinatorPool {
             self.decided.insert(p.gtxid, p.generation);
             self.unsettled.insert(p.gtxid);
             let slot = &mut self.coords[p.coordinator];
+            slot.high = slot.high.max(Some(p.gtxid));
             slot.clock = slot.clock.max(seal_end);
             obs::observe(
                 obs::Hist::TxnDecisionStall,
@@ -1023,18 +693,8 @@ impl CoordinatorPool {
         for p in &sealed {
             let mut phase_end = self.coords[p.coordinator].clock;
             for &shard in &p.participants {
-                let h0 = heaps[shard].elapsed();
-                heaps[shard].commit_distributed(p.gtxid)?;
-                let end = self.run_on_shard(p.coordinator, shard, heaps[shard].elapsed() - h0);
+                let end = self.commit_shard(p.coordinator, heaps, shard, p.gtxid)?;
                 phase_end = phase_end.max(end);
-                obs::emit(
-                    "txn",
-                    "commit_shard",
-                    end,
-                    shard as i64,
-                    (p.gtxid - GTXID_BASE) as i64,
-                );
-                obs::count(obs::Ctr::TxnShardCommits);
             }
             self.coords[p.coordinator].clock = phase_end;
             self.unsettled.remove(&p.gtxid);
@@ -1068,7 +728,7 @@ impl CoordinatorPool {
         if let Some(reason) = self.prepare_on(coordinator, heaps, txn, &participants)? {
             return Ok(SubmitOutcome::Aborted { reason });
         }
-        self.buffer_on(coordinator, txn.gtxid, participants);
+        self.buffer_on(coordinator, txn, participants);
         if self.should_seal(coordinator) {
             let group = self.try_seal(coordinator, true)?;
             self.complete_sealed(heaps)?;
@@ -1096,32 +756,90 @@ impl CoordinatorPool {
     }
 
     /// Compacts the shared decision log when it runs low, preserving
-    /// unsettled decisions (re-sealed as one group record carrying
-    /// their original generations) ahead of the new tail.
-    fn compact_decision_log(&mut self) -> Result<(), HeapError> {
+    /// unsettled decisions and coordinator marks (see
+    /// [`reseal`](Self::reseal)) ahead of the new tail. Refuses without
+    /// touching the log when the carried records do not fit, or when
+    /// `needed` more words would not fit after them.
+    fn compact_decision_log(&mut self, needed: u64) -> Result<(), HeapError> {
         if !self.log.needs_truncation() {
             return Ok(());
         }
-        let live_words = self.unsettled.len() as u64 + 1;
-        if !self.unsettled.is_empty() && self.log.free_words() < live_words {
+        let marks = self.marks();
+        // What `reseal` appends: the group record, then a settle marker
+        // per mark.
+        let entries = (self.unsettled.len() + marks.len()) as u64;
+        let carried = if entries == 0 {
+            0
+        } else {
+            entries + 1 + marks.len() as u64
+        };
+        if self.log.free_words() < carried {
             return Err(HeapError::LogFull {
-                needed_words: live_words,
+                needed_words: carried,
                 free_words: self.log.free_words(),
             });
         }
-        let mark = self.log.mark();
-        if !self.unsettled.is_empty() {
-            let mut live: Vec<u64> = self.unsettled.iter().copied().collect();
-            live.sort_unstable();
-            let entries: Vec<u64> = live
-                .iter()
-                .map(|g| pack_group_entry(self.decided[g], *g))
-                .collect();
-            self.log.append_group_decision(&mut self.mem, &entries, true);
-            self.mem.sfence();
+        let free_after = self.log.capacity_words() - 1 - carried;
+        if free_after < needed {
+            return Err(HeapError::LogFull {
+                needed_words: needed,
+                free_words: free_after,
+            });
         }
+        let mark = self.log.mark();
+        self.reseal(&marks);
         self.log.truncate_to(&mut self.mem, mark, true);
         Ok(())
+    }
+
+    /// The coordinator marks a fresh stretch of log must carry, sorted:
+    /// the highest decided gtxid of every coordinator, unless it is
+    /// unsettled (re-sealed anyway) or a higher buffered decision of the
+    /// same coordinator is about to be sealed. Without the mark, pruning
+    /// settled decisions can leave the log with nothing from a
+    /// coordinator, and the next recovery would resume its sequence
+    /// below a decided gtxid, under a generation already used.
+    fn marks(&self) -> Vec<u64> {
+        let mut marks: Vec<u64> = self
+            .coords
+            .iter()
+            .enumerate()
+            .filter_map(|(c, slot)| {
+                let high = slot.high?;
+                let superseded = self
+                    .pending
+                    .iter()
+                    .any(|p| p.coordinator == c && p.gtxid > high);
+                (!superseded).then_some(high)
+            })
+            .chain(self.foreign_marks.iter().copied())
+            .filter(|g| !self.unsettled.contains(g))
+            .collect();
+        marks.sort_unstable();
+        marks
+    }
+
+    /// Opens a fresh stretch of decision log: one group record re-sealing
+    /// every unsettled decision and every mark in `marks` under its
+    /// original generation, a settle marker per mark (so the next
+    /// recovery prunes it again and carries only the mark), then a
+    /// fence. Writes nothing when both are empty.
+    fn reseal(&mut self, marks: &[u64]) {
+        let mut carried: Vec<u64> = self.unsettled.iter().chain(marks).copied().collect();
+        if carried.is_empty() {
+            return;
+        }
+        carried.sort_unstable();
+        let entries: Vec<u64> = carried
+            .iter()
+            .map(|g| pack_group_entry(self.decided[g], *g))
+            .collect();
+        self.log.append_group_decision(&mut self.mem, &entries, true);
+        for &gtxid in marks {
+            self.log
+                .append(&mut self.mem, &LogRecord::settle(gtxid), true);
+        }
+        self.mem.sfence();
     }
 
     /// The pool's durable bytes as they would survive a power failure
@@ -1162,12 +880,65 @@ impl CoordinatorPool {
     /// original generations so [`CoordinatorPool::attribute`] still
     /// names the sealing incarnation. Every coordinator's sequence
     /// counter resumes above its decided gtxids and its generation is
-    /// bumped past every generation the log holds for it. Once
+    /// bumped past every generation the log holds for it. Each
+    /// coordinator's highest decided gtxid is carried into the new log
+    /// even when settled, so any number of recoveries keep resuming
+    /// above it — including for coordinators past `coordinators`, whose
+    /// gtxids a later, larger pool may issue again. Once
     /// [`resolve_cross_shard`] has brought every shard back, call
     /// [`settle_recovered`](Self::settle_recovered) so the re-sealed
     /// decisions do not pile up across later recoveries.
+    ///
+    /// An issued-but-undecided gtxid from before the crash can be
+    /// issued again, which is safe: recovered shards resolved it by
+    /// presumed abort and scrubbed their logs.
     #[must_use]
     pub fn recover(coordinator_image: &[u8], coordinators: usize, group_size: usize) -> Self {
+        Self::rebuild(coordinator_image, coordinators, group_size, &FastSet::default())
+    }
+
+    /// [`CoordinatorPool::recover`] for a pool opened
+    /// [`with_routing`](Self::with_routing): the routed write history is
+    /// carried across the restart along with the decisions, so a shard
+    /// sacrificed *before* the pool itself crashed can still be rebuilt
+    /// afterwards. A settled decision is prunable for in-doubt
+    /// resolution, but the routed rebuild still needs it: a shard
+    /// sacrificed in a later outage is rebuilt from its checkpoint plus
+    /// a replay of routed writes filtered on the decided set. So every
+    /// decision the routing log carries writes for is re-sealed as
+    /// unsettled, and stays answerable for as long as its writes do.
+    #[must_use]
+    pub fn recover_routed(coordinator_image: &[u8], coordinators: usize, group_size: usize) -> Self {
+        let mut routed = recover_routing(coordinator_image);
+        routed.sort_by_key(|w| (w.gtxid, w.shard, w.addr));
+        let pinned: FastSet<u64> = routed.iter().map(|w| w.gtxid).collect();
+        let mut pool = Self::rebuild(coordinator_image, coordinators, group_size, &pinned)
+            .with_routing();
+        if let Some(routing) = &mut pool.routing {
+            for w in &routed {
+                routing.append(
+                    &mut pool.mem,
+                    &LogRecord::write(
+                        w.gtxid,
+                        ((w.shard as u64) << ROUTE_SHARD_SHIFT) | w.addr,
+                        w.value,
+                    ),
+                    true,
+                );
+            }
+        }
+        pool.mem.sfence();
+        pool
+    }
+
+    /// [`CoordinatorPool::recover`], also re-sealing the settled
+    /// decisions in `pinned`.
+    fn rebuild(
+        coordinator_image: &[u8],
+        coordinators: usize,
+        group_size: usize,
+        pinned: &FastSet<u64>,
+    ) -> Self {
         let mut pool = Self::new(coordinators, group_size);
         let records = decision_records(coordinator_image);
         let settled = settled_in(&records);
@@ -1180,28 +951,26 @@ impl CoordinatorPool {
         decided.dedup();
         for &(gtxid, generation) in &decided {
             let coordinator = coordinator_of(gtxid);
-            if coordinator < pool.coords.len() {
-                let slot = &mut pool.coords[coordinator];
+            if let Some(slot) = pool.coords.get_mut(coordinator) {
                 let seq = (gtxid - GTXID_BASE) & POOL_SEQ_MASK;
                 slot.next_seq = slot.next_seq.max(seq + 1);
                 slot.generation = slot.generation.max((generation + 1).min(GROUP_ENTRY_GEN_MAX));
+                slot.high = slot.high.max(Some(gtxid));
+            } else {
+                // Ascending order: the last gtxid seen per coordinator
+                // is its highest.
+                match pool.foreign_marks.last_mut() {
+                    Some(last) if coordinator_of(*last) == coordinator => *last = gtxid,
+                    _ => pool.foreign_marks.push(gtxid),
+                }
             }
             pool.decided.insert(gtxid, generation);
+            if !settled.contains(&gtxid) || pinned.contains(&gtxid) {
+                pool.unsettled.insert(gtxid);
+            }
         }
-        let live: Vec<u64> = decided
-            .iter()
-            .map(|&(g, _)| g)
-            .filter(|g| !settled.contains(g))
-            .collect();
-        if !live.is_empty() {
-            let entries: Vec<u64> = live
-                .iter()
-                .map(|g| pack_group_entry(pool.decided[g], *g))
-                .collect();
-            pool.log.append_group_decision(&mut pool.mem, &entries, true);
-            pool.mem.sfence();
-            pool.unsettled.extend(&live);
-        }
+        let marks = pool.marks();
+        pool.reseal(&marks);
         pool
     }
 
@@ -1217,9 +986,12 @@ impl CoordinatorPool {
         })
     }
 
-    /// Marks a recovered decision as settled once every participant is
-    /// known to hold its phase-2 marker (mirror of
-    /// [`TxnCoordinator::settle`]).
+    /// Marks a sealed decision as settled once every participant is
+    /// known to hold its phase-2 marker. The settle marker is unfenced —
+    /// it rides the next fence; losing it merely means a conservative
+    /// replay. [`complete_sealed`](Self::complete_sealed) settles what
+    /// it completes; call this for decisions recovered or completed by
+    /// hand, or the decision log can never drop them.
     pub fn settle(&mut self, gtxid: u64) {
         self.unsettled.remove(&gtxid);
         self.log
@@ -1271,17 +1043,6 @@ impl CoordinatorPool {
     }
 }
 
-/// Reads the `WSP_TXN_GROUP` environment knob: the decision group size
-/// for workloads and benches that honour it (clamped to at least 1);
-/// `default` when unset or unparsable.
-#[must_use]
-pub fn group_size_from_env(default: usize) -> usize {
-    std::env::var("WSP_TXN_GROUP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(default, |v| v.max(1))
-}
-
 /// One write of a committed cross-shard transaction, as recovered from
 /// the coordinator's routing log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1297,13 +1058,13 @@ pub struct RoutedWrite {
 }
 
 /// Scans a crashed coordinator's routing log (see
-/// [`TxnCoordinator::with_routing`]) and returns every durably routed
+/// [`CoordinatorPool::with_routing`]) and returns every durably routed
 /// write, decided or not — filter against [`recover_decisions`] before
 /// replaying. Empty for a coordinator without routing.
 #[must_use]
 pub fn recover_routing(coordinator_image: &[u8]) -> Vec<RoutedWrite> {
     // An initialized tail word is never zero (TornLog::initialize packs
-    // polarity = true), but a coordinator created without routing leaves
+    // polarity = true), but a pool created without routing leaves
     // the word zeroed — and a zeroed region would decode as an endless
     // run of polarity-false Write records. Distinguish the two here.
     let tail = u64::from_le_bytes(
@@ -1344,7 +1105,7 @@ pub fn recover_routing(coordinator_image: &[u8]) -> Vec<RoutedWrite> {
 ///
 /// [`HeapError`] if a routed address is outside the rebuilt heap — the
 /// checkpoint predates the allocation, i.e. it is older than the
-/// routing log's reach (see [`TxnCoordinator::prune_routing`]).
+/// routing log's reach.
 pub fn reapply_routed(
     heap: &mut PersistentHeap,
     shard: usize,
@@ -1377,9 +1138,8 @@ pub fn reapply_routed(
 }
 
 /// Scans a crashed coordinator's durable log and returns the set of
-/// global txids with a durable commit decision — classic per-txn
-/// [`RecordKind::Commit`] records and every member of an intact
-/// [`RecordKind::GroupDecision`] record alike. Everything absent is, by
+/// global txids with a durable commit decision: every member of an
+/// intact [`RecordKind::GroupDecision`] record. Everything absent is, by
 /// the presumed-abort rule, aborted; a torn group record contributes
 /// *none* of its members.
 #[must_use]
@@ -1408,7 +1168,7 @@ fn settled_in(records: &[LogRecord]) -> FastSet<u64> {
 }
 
 fn is_decision(r: &LogRecord) -> bool {
-    matches!(r.kind, RecordKind::Commit | RecordKind::GroupDecision)
+    r.kind == RecordKind::GroupDecision
 }
 
 fn decision_records(coordinator_image: &[u8]) -> Vec<LogRecord> {
@@ -1588,7 +1348,9 @@ mod tests {
         v
     }
 
-    fn rig(config: HeapConfig) -> (TxnCoordinator, Vec<PersistentHeap>, Vec<u64>) {
+    /// Two shards holding one committed cell each (100 and 200), and a
+    /// per-transaction coordinator: one coordinator, group size 1.
+    fn rig(config: HeapConfig) -> (CoordinatorPool, Vec<PersistentHeap>, Vec<u64>) {
         let mut heaps = Vec::new();
         let mut cells = Vec::new();
         for value in [100u64, 200] {
@@ -1596,18 +1358,39 @@ mod tests {
             heaps.push(heap);
             cells.push(p.offset());
         }
-        (TxnCoordinator::new(), heaps, cells)
+        (CoordinatorPool::new(1, 1), heaps, cells)
+    }
+
+    /// Runs `txn` through the whole protocol on coordinator 0.
+    fn commit(pool: &mut CoordinatorPool, heaps: &mut [PersistentHeap], txn: &CrossShardTxn) {
+        assert_eq!(
+            pool.submit(0, heaps, txn).unwrap(),
+            SubmitOutcome::Committed { group: 1 }
+        );
+    }
+
+    /// Prepares `txn` on every participant and seals its decision, with
+    /// no phase 2: the canonical in-doubt point.
+    fn decide_in_doubt(
+        pool: &mut CoordinatorPool,
+        heaps: &mut [PersistentHeap],
+        txn: &CrossShardTxn,
+    ) {
+        for shard in txn.participants() {
+            pool.prepare_shard(0, heaps, shard, txn).unwrap();
+        }
+        pool.buffer_decision(0, txn);
+        assert_eq!(pool.seal_decisions(0), 1);
     }
 
     #[test]
     fn two_shard_commit_is_visible_everywhere() {
         for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
-            let (mut coordinator, mut heaps, cells) = rig(config);
-            let mut txn = coordinator.begin(2);
+            let (mut pool, mut heaps, cells) = rig(config);
+            let mut txn = pool.begin(0, 2);
             txn.stage(0, cells[0], 70);
             txn.stage(1, cells[1], 230);
-            let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
-            assert_eq!(outcome, TxnOutcome::Committed, "{config}");
+            commit(&mut pool, &mut heaps, &txn);
             for (heap, want) in heaps.iter_mut().zip([70, 230]) {
                 assert_eq!(cell(heap), want, "{config}");
             }
@@ -1626,25 +1409,26 @@ mod tests {
         let (heap0, p0) = shard_with_cell(HeapConfig::FocUndo, 100);
         let (heap1, p1) = shard_with_cell(HeapConfig::Fof, 200);
         let mut heaps = vec![heap0, heap1];
-        let mut coordinator = TxnCoordinator::new();
-        let mut txn = coordinator.begin(2);
+        let mut pool = CoordinatorPool::new(1, 1);
+        let mut txn = pool.begin(0, 2);
         txn.stage(0, p0.offset(), 1);
         txn.stage(1, p1.offset(), 2);
-        let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
-        assert!(matches!(outcome, TxnOutcome::Aborted { .. }), "{outcome:?}");
+        let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
+        assert!(matches!(outcome, SubmitOutcome::Aborted { .. }), "{outcome:?}");
+        assert_eq!(pool.buffered(), 0);
         assert_eq!(cell(&mut heaps[0]), 100);
         assert_eq!(cell(&mut heaps[1]), 200);
     }
 
     #[test]
     fn decision_log_round_trips_through_a_crash() {
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut committed_txn = coordinator.begin(2);
+        let (mut pool, mut heaps, cells) = rig(HeapConfig::FocUndo);
+        let mut committed_txn = pool.begin(0, 2);
         committed_txn.stage(0, cells[0], 1);
         committed_txn.stage(1, cells[1], 2);
-        coordinator.commit(&mut heaps, &committed_txn).unwrap();
-        let undecided = coordinator.begin(2);
-        let decisions = recover_decisions(&coordinator.crash_image());
+        commit(&mut pool, &mut heaps, &committed_txn);
+        let undecided = pool.begin(0, 2);
+        let decisions = recover_decisions(&pool.crash_image());
         assert!(decisions.contains(&committed_txn.gtxid()));
         assert!(!decisions.contains(&undecided.gtxid()));
     }
@@ -1652,18 +1436,13 @@ mod tests {
     #[test]
     fn post_decision_crash_resolves_in_doubt_to_commit() {
         for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
-            let (mut coordinator, mut heaps, cells) = rig(config);
-            let mut txn = coordinator.begin(2);
+            let (mut pool, mut heaps, cells) = rig(config);
+            let mut txn = pool.begin(0, 2);
             txn.stage(0, cells[0], 11);
             txn.stage(1, cells[1], 22);
-            for shard in [0, 1] {
-                coordinator
-                    .prepare_shard(&mut heaps[shard], shard, &txn)
-                    .unwrap();
-            }
-            coordinator.record_decision(&txn);
+            decide_in_doubt(&mut pool, &mut heaps, &txn);
             // Power dies before any phase-2 marker.
-            let coordinator_image = coordinator.crash_image();
+            let coordinator_image = pool.crash_image();
             let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
             let recovery = resolve_cross_shard(
                 &coordinator_image,
@@ -1683,17 +1462,15 @@ mod tests {
     #[test]
     fn pre_decision_crash_resolves_in_doubt_to_abort() {
         for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
-            let (mut coordinator, mut heaps, cells) = rig(config);
-            let mut txn = coordinator.begin(2);
+            let (mut pool, mut heaps, cells) = rig(config);
+            let mut txn = pool.begin(0, 2);
             txn.stage(0, cells[0], 11);
             txn.stage(1, cells[1], 22);
             for shard in [0, 1] {
-                coordinator
-                    .prepare_shard(&mut heaps[shard], shard, &txn)
-                    .unwrap();
+                pool.prepare_shard(0, &mut heaps, shard, &txn).unwrap();
             }
             // Coordinator dies before the decision record.
-            let coordinator_image = coordinator.crash_image();
+            let coordinator_image = pool.crash_image();
             let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
             let recovery = resolve_cross_shard(
                 &coordinator_image,
@@ -1712,50 +1489,135 @@ mod tests {
 
     #[test]
     fn recovered_coordinator_never_reissues_a_decided_gtxid() {
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut txn = coordinator.begin(2);
-        txn.stage(0, cells[0], 70);
-        txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &txn).unwrap();
-        let image = coordinator.crash_image();
+        // Coordinator 1 commits two transfers, coordinator 0 one. Its
+        // settle marker rides no fence, so coordinator 0's decision
+        // survives as unsettled; coordinator 1's are settled and pruned.
+        // Two recoveries later coordinator 1 must still resume above
+        // its decided gtxids, under a generation of its own.
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(2, 1);
+        let mut decided = Vec::new();
+        for (t, coordinator) in [1usize, 1, 0].into_iter().enumerate() {
+            let mut txn = pool.begin(coordinator, 2);
+            txn.stage(0, cells[0][t], 10 + t as u64);
+            txn.stage(1, cells[1][t], 20 + t as u64);
+            assert_eq!(
+                pool.submit(coordinator, &mut heaps, &txn).unwrap(),
+                SubmitOutcome::Committed { group: 1 }
+            );
+            decided.push(txn.gtxid());
+        }
+        let once = CoordinatorPool::recover(&pool.crash_image(), 2, 1);
+        let mut twice = CoordinatorPool::recover(&once.crash_image(), 2, 1);
+        assert_eq!(
+            twice.attribute(decided[1]),
+            Some(GtxidOrigin {
+                coordinator: 1,
+                generation: 1
+            })
+        );
 
-        let mut recovered = TxnCoordinator::recover(&image);
-        // commit() settled the decision, so recovery pruned it — but the
-        // gtxid is still never reissued, even against shards that did
-        // not crash.
-        let mut txn2 = recovered.begin(2);
-        assert!(txn2.gtxid() > txn.gtxid(), "gtxid reuse");
-        txn2.stage(0, cells[0], 60);
-        txn2.stage(1, cells[1], 240);
-        let outcome = recovered.commit(&mut heaps, &txn2).unwrap();
-        assert_eq!(outcome, TxnOutcome::Committed);
-        for (heap, want) in heaps.iter_mut().zip([60, 240]) {
-            assert_eq!(cell(heap), want);
+        let mut fresh = twice.begin(1, 2);
+        assert!(fresh.gtxid() > decided[1], "gtxid reuse");
+        assert!(twice.begin(0, 2).gtxid() > decided[2], "gtxid reuse");
+        // The shards never crashed: a reissued gtxid would collide with
+        // their decided markers. A fresh one commits cleanly.
+        fresh.stage(0, cells[0][3], 60);
+        fresh.stage(1, cells[1][3], 240);
+        assert_eq!(
+            twice.submit(1, &mut heaps, &fresh).unwrap(),
+            SubmitOutcome::Committed { group: 1 }
+        );
+        assert_eq!(twice.attribute(fresh.gtxid()).unwrap().generation, 2);
+    }
+
+    #[test]
+    fn recovery_keeps_marks_of_coordinators_past_the_pool_size() {
+        // A four-coordinator pool decides on coordinator 3, restarts as
+        // a two-coordinator pool, crashes again, and comes back with
+        // four: coordinator 3 must resume above its old gtxid.
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(4, 1);
+        let mut txn = pool.begin(3, 2);
+        txn.stage(0, cells[0][0], 7);
+        pool.submit(3, &mut heaps, &txn).unwrap();
+        let mut other = pool.begin(0, 2);
+        other.stage(1, cells[1][0], 8);
+        pool.submit(0, &mut heaps, &other).unwrap();
+
+        let small = CoordinatorPool::recover(&pool.crash_image(), 2, 1);
+        assert!(recover_decisions(&small.crash_image()).contains(&txn.gtxid()));
+        let mut large = CoordinatorPool::recover(&small.crash_image(), 4, 1);
+        assert!(large.begin(3, 2).gtxid() > txn.gtxid());
+        assert_eq!(large.attribute(txn.gtxid()).unwrap().generation, 1);
+    }
+
+    #[test]
+    fn compaction_carries_an_idle_coordinators_mark() {
+        // Coordinator 1 decides once and goes idle while coordinator 0
+        // drives the log through many compactions: coordinator 1's mark
+        // must survive them all.
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(2, 1);
+        let mut idle = pool.begin(1, 2);
+        idle.stage(0, cells[0][1], 5);
+        pool.submit(1, &mut heaps, &idle).unwrap();
+        for t in 0..1024u64 {
+            let mut txn = pool.begin(0, 2);
+            txn.stage(1, cells[1][(t % 4) as usize], t);
+            pool.submit(0, &mut heaps, &txn).unwrap();
+        }
+        let image = pool.crash_image();
+        assert!(recover_decisions(&image).contains(&idle.gtxid()));
+        let mut recovered = CoordinatorPool::recover(&image, 2, 1);
+        assert!(recovered.begin(1, 2).gtxid() > idle.gtxid());
+    }
+
+    #[test]
+    fn compaction_carries_a_mark_above_an_out_of_order_decision() {
+        // Coordinator 0 seals b before a, which it began first: a
+        // compaction that runs while only a is buffered must still
+        // carry b, its highest decided gtxid.
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 1);
+        let mut pool = CoordinatorPool::new(1, 8);
+        // One lone decision first (group record + settle marker: 3 log
+        // words) shifts the 6-word pairs so that compactions land on
+        // a's seals, not only on b's.
+        let mut lone = pool.begin(0, 1);
+        lone.stage(0, cells[0][2], 1);
+        pool.submit(0, &mut heaps, &lone).unwrap();
+        pool.drain(0, &mut heaps).unwrap();
+        for t in 0..512u64 {
+            let mut a = pool.begin(0, 1);
+            let mut b = pool.begin(0, 1);
+            a.stage(0, cells[0][0], t);
+            b.stage(0, cells[0][1], t);
+            pool.submit(0, &mut heaps, &b).unwrap();
+            pool.drain(0, &mut heaps).unwrap();
+            pool.submit(0, &mut heaps, &a).unwrap();
+            pool.drain(0, &mut heaps).unwrap();
+            let mut recovered = CoordinatorPool::recover(&pool.crash_image(), 1, 8);
+            assert!(recovered.begin(0, 1).gtxid() > b.gtxid(), "transfer pair {t}");
         }
     }
 
     #[test]
     fn recovery_prunes_settled_decisions_but_keeps_unsettled_ones() {
-        // Regression test for recovery-time compaction: a settled
-        // decision must vanish from the recovered log, an unsettled one
-        // must survive so an in-doubt shard can still resolve to commit,
-        // and the txid counter must still clear *both*.
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut settled_txn = coordinator.begin(2);
+        // A settled decision must vanish from the recovered log, an
+        // unsettled one must survive so an in-doubt shard can still
+        // resolve to commit, and the sequence must clear *both*.
+        let (mut pool, mut heaps, cells) = rig(HeapConfig::FocUndo);
+        let mut settled_txn = pool.begin(0, 2);
         settled_txn.stage(0, cells[0], 70);
         settled_txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &settled_txn).unwrap(); // settles
-        let mut unsettled_txn = coordinator.begin(2);
+        commit(&mut pool, &mut heaps, &settled_txn);
+        let mut unsettled_txn = pool.begin(0, 2);
         unsettled_txn.stage(0, cells[0], 60);
         unsettled_txn.stage(1, cells[1], 240);
-        for shard in [0, 1] {
-            coordinator
-                .prepare_shard(&mut heaps[shard], shard, &unsettled_txn)
-                .unwrap();
-        }
-        coordinator.record_decision(&unsettled_txn); // decided, never settled
+        // Its seal fences the first decision's settle marker.
+        decide_in_doubt(&mut pool, &mut heaps, &unsettled_txn);
 
-        let recovered = TxnCoordinator::recover(&coordinator.crash_image());
+        let mut recovered = CoordinatorPool::recover(&pool.crash_image(), 1, 1);
         let replayed = recover_decisions(&recovered.crash_image());
         assert!(
             !replayed.contains(&settled_txn.gtxid()),
@@ -1766,7 +1628,7 @@ mod tests {
             "unsettled decision must survive recovery"
         );
         // The in-doubt shards resolve the unsettled txn to commit
-        // against the *recovered* coordinator's log.
+        // against the *recovered* pool's log.
         let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
         let recovery = resolve_cross_shard(
             &recovered.crash_image(),
@@ -1778,77 +1640,31 @@ mod tests {
             let mut heap = s.heap.unwrap();
             assert_eq!(cell(&mut heap), want);
         }
-        // And the counter cleared the pruned gtxid too.
-        let mut recovered = recovered;
-        assert!(recovered.begin(2).gtxid() > unsettled_txn.gtxid());
-    }
-
-    #[test]
-    fn preserving_truncation_keeps_unsettled_decisions_under_pressure() {
-        // Thousands of settled decisions around one long-lived unsettled
-        // decision: the log must recycle (no "log full" panic) while the
-        // unsettled decision stays answerable at every point.
-        let mut coordinator = TxnCoordinator::new();
-        let pinned = coordinator.begin(1);
-        coordinator.record_decision(&pinned);
-        for i in 0..4096 {
-            let txn = coordinator.begin(1);
-            coordinator.record_decision(&txn);
-            coordinator.settle(txn.gtxid());
-            if i % 64 == 0 {
-                assert!(
-                    recover_decisions(&coordinator.crash_image()).contains(&pinned.gtxid()),
-                    "unsettled decision lost to truncation"
-                );
-            }
-        }
-        assert!(recover_decisions(&coordinator.crash_image()).contains(&pinned.gtxid()));
+        assert!(recovered.begin(0, 2).gtxid() > unsettled_txn.gtxid());
     }
 
     #[test]
     fn fresh_coordinator_recovers_to_empty_state() {
-        let coordinator = TxnCoordinator::new();
-        let mut recovered = TxnCoordinator::recover(&coordinator.crash_image());
-        assert_eq!(recovered.begin(1).gtxid(), GTXID_BASE);
-    }
-
-    #[test]
-    fn decision_log_truncates_once_decisions_settle() {
-        // Far more decisions than the 8 KiB decision log holds in one
-        // pass; settling each one lets the log recycle indefinitely
-        // (this used to diverge and panic after ~1000 decisions when
-        // decisions were recorded outside TxnCoordinator::commit).
-        let mut coordinator = TxnCoordinator::new();
-        for _ in 0..4096 {
-            let txn = coordinator.begin(1);
-            coordinator.record_decision(&txn);
-            coordinator.settle(txn.gtxid());
-        }
+        let pool = CoordinatorPool::new(1, 1);
+        let mut recovered = CoordinatorPool::recover(&pool.crash_image(), 1, 1);
+        assert_eq!(recovered.begin(0, 1).gtxid(), GTXID_BASE);
+        assert_eq!(recovered.unsettled(), 0);
     }
 
     #[test]
     fn routing_log_round_trips_committed_write_sets() {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(HeapConfig::FocUndo, value);
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        let mut coordinator = TxnCoordinator::with_routing();
-        let mut txn = coordinator.begin(2);
+        let (_, mut heaps, cells) = rig(HeapConfig::FocUndo);
+        let mut pool = CoordinatorPool::new(1, 1).with_routing();
+        let mut txn = pool.begin(0, 2);
         txn.stage(0, cells[0], 70);
         txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &txn).unwrap();
+        commit(&mut pool, &mut heaps, &txn);
         // Prepared but never decided: routed nothing.
-        let mut undecided = coordinator.begin(2);
+        let mut undecided = pool.begin(0, 2);
         undecided.stage(0, cells[0], 1);
-        coordinator
-            .prepare_shard(&mut heaps[0], 0, &undecided)
-            .unwrap();
+        pool.prepare_shard(0, &mut heaps, 0, &undecided).unwrap();
 
-        let image = coordinator.crash_image();
-        let routed = recover_routing(&image);
+        let routed = recover_routing(&pool.crash_image());
         assert_eq!(
             routed,
             vec![
@@ -1866,36 +1682,29 @@ mod tests {
                 },
             ]
         );
-        // A classic coordinator routes nothing at all.
-        let (mut classic, mut classic_heaps, classic_cells) = rig(HeapConfig::FocUndo);
-        let mut t = classic.begin(2);
-        t.stage(0, classic_cells[0], 1);
-        t.stage(1, classic_cells[1], 2);
-        classic.commit(&mut classic_heaps, &t).unwrap();
-        assert!(recover_routing(&classic.crash_image()).is_empty());
+        // A pool without routing routes nothing at all.
+        let (mut plain, mut plain_heaps, plain_cells) = rig(HeapConfig::FocUndo);
+        let mut t = plain.begin(0, 2);
+        t.stage(0, plain_cells[0], 1);
+        t.stage(1, plain_cells[1], 2);
+        commit(&mut plain, &mut plain_heaps, &t);
+        assert!(recover_routing(&plain.crash_image()).is_empty());
     }
 
     #[test]
     fn reapply_rebuilds_a_sacrificed_shard_from_a_stale_checkpoint() {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        let mut checkpoints = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(HeapConfig::FocUndo, value);
-            checkpoints.push(heap.clone());
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        let mut coordinator = TxnCoordinator::with_routing();
+        let (_, mut heaps, cells) = rig(HeapConfig::FocUndo);
+        let checkpoints = heaps.clone();
+        let mut pool = CoordinatorPool::new(1, 1).with_routing();
         // Two committed transactions touching shard 1; the later value
         // must win the replay.
         for value in [230u64, 260] {
-            let mut txn = coordinator.begin(2);
+            let mut txn = pool.begin(0, 2);
             txn.stage(0, cells[0], 300 - value);
             txn.stage(1, cells[1], value);
-            coordinator.commit(&mut heaps, &txn).unwrap();
+            commit(&mut pool, &mut heaps, &txn);
         }
-        let image = coordinator.crash_image();
+        let image = pool.crash_image();
         let decided = recover_decisions(&image);
         let routed = recover_routing(&image);
         // Shard 1's NVRAM image is sacrificed: rebuild from the stale
@@ -1915,44 +1724,44 @@ mod tests {
 
     #[test]
     fn recovered_routed_coordinator_keeps_the_write_history() {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(HeapConfig::FocUndo, value);
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        let mut coordinator = TxnCoordinator::with_routing();
-        let mut txn = coordinator.begin(2);
-        txn.stage(0, cells[0], 70);
-        txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &txn).unwrap();
+        let (_, mut heaps, cells) = rig(HeapConfig::FocUndo);
+        let mut pool = CoordinatorPool::new(1, 1).with_routing();
+        let mut first = pool.begin(0, 2);
+        first.stage(0, cells[0], 70);
+        first.stage(1, cells[1], 230);
+        commit(&mut pool, &mut heaps, &first);
+        // The second seal fences the first decision's settle marker.
+        let mut second = pool.begin(0, 2);
+        second.stage(0, cells[0], 80);
+        commit(&mut pool, &mut heaps, &second);
+        let image = pool.crash_image();
+        assert!(recover_settled(&image).contains(&first.gtxid()));
 
-        // Coordinator crashes and restarts; the routed history must
-        // survive into the *new* coordinator's own crash image.
-        let recovered = TxnCoordinator::recover_routed(&coordinator.crash_image());
-        let routed = recover_routing(&recovered.crash_image());
-        assert_eq!(routed.len(), 2);
+        // The pool crashes and restarts; the routed history must survive
+        // into the *new* pool's own crash image, and the settled first
+        // decision stays answerable for as long as its writes do.
+        let mut recovered = CoordinatorPool::recover_routed(&image, 1, 1);
+        let again = recovered.crash_image();
+        let routed = recover_routing(&again);
+        assert_eq!(routed.len(), 3);
         assert!(routed.iter().any(|w| w.shard == 1 && w.value == 230));
-        // Pruning empties it once checkpoints catch up.
-        let mut recovered = recovered;
-        recovered.prune_routing();
-        assert!(recover_routing(&recovered.crash_image()).is_empty());
+        assert!(recover_decisions(&again).contains(&first.gtxid()));
+        // The recovered pool keeps routing what it seals next.
+        let mut third = recovered.begin(0, 2);
+        assert!(third.gtxid() > second.gtxid());
+        third.stage(1, cells[1], 250);
+        commit(&mut recovered, &mut heaps, &third);
+        assert_eq!(recover_routing(&recovered.crash_image()).len(), 4);
     }
 
     #[test]
     fn lost_shard_degrades_with_quantified_staleness() {
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut txn = coordinator.begin(2);
+        let (mut pool, mut heaps, cells) = rig(HeapConfig::FocUndo);
+        let mut txn = pool.begin(0, 2);
         txn.stage(0, cells[0], 11);
         txn.stage(1, cells[1], 22);
-        for shard in [0, 1] {
-            coordinator
-                .prepare_shard(&mut heaps[shard], shard, &txn)
-                .unwrap();
-        }
-        coordinator.record_decision(&txn);
-        let coordinator_image = coordinator.crash_image();
+        decide_in_doubt(&mut pool, &mut heaps, &txn);
+        let coordinator_image = pool.crash_image();
         let mut images: Vec<Option<CrashImage>> =
             heaps.into_iter().map(|h| Some(h.crash(false))).collect();
         images[0] = None; // shard 0's NVRAM image is gone
@@ -2165,10 +1974,15 @@ mod tests {
 
         let recovered = CoordinatorPool::recover(&pool.crash_image(), 2, 2);
         // Settled group-1 decisions pruned; unsettled decision survives.
-        let replayed = recover_decisions(&recovered.crash_image());
+        // Coordinator 1 decided nothing after b, so b stays as its mark,
+        // settled.
+        let image = recovered.crash_image();
+        let replayed = recover_decisions(&image);
         assert!(!replayed.contains(&a.gtxid()));
-        assert!(!replayed.contains(&b.gtxid()));
+        assert!(replayed.contains(&b.gtxid()));
+        assert!(recover_settled(&image).contains(&b.gtxid()));
         assert!(replayed.contains(&c.gtxid()));
+        assert_eq!(recovered.unsettled(), 1);
         // Attribution still names issuer and generation for every
         // decided gtxid the log answers for.
         assert_eq!(
@@ -2199,9 +2013,9 @@ mod tests {
     }
 
     #[test]
-    fn group_size_one_matches_classic_decision_count() {
-        // A pool with group size 1 seals every submission immediately —
-        // the degenerate case the bench compares against.
+    fn group_size_one_seals_every_submission() {
+        // A pool with group size 1 seals every submission immediately:
+        // the per-transaction coordinator.
         let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
         let mut pool = CoordinatorPool::new(1, 1);
         for t in 0..3u64 {

@@ -205,9 +205,6 @@ metric_ids! {
         EpochSeal => "pheap.epoch_seal_time",
         /// Per-command simulated KV service time.
         KvOp => "kv.op_time",
-        /// End-to-end cross-shard 2PC commit latencies (prepare through
-        /// last shard commit, simulated time).
-        TxnCommit => "txn.commit_time",
         /// Foreground time an epoch seal actually cost after pipelining:
         /// seal execution minus the portion overlapped with the commits
         /// that ran since the batch was staged. Zero means the seal hid

@@ -20,6 +20,9 @@ echo "== golden traces: pinned at both recorded seeds =="
 cargo test -q --offline --test golden_trace
 WSP_DET_SEED=7 cargo test -q --offline --test golden_trace
 WSP_DET_SEED=42 cargo test -q --offline --test golden_trace
+# A run with WSP_UPDATE_GOLDEN set rewrites the corpus and passes;
+# a rewritten golden must show up here, not slip through.
+git diff --exit-code -- tests/golden
 
 echo "== observability error-path contracts =="
 cargo test -q --offline --test observability

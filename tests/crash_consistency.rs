@@ -609,7 +609,7 @@ fn check_cross_shard_all_or_nothing(
 ) {
     use wsp_repro::cluster::ClusterSpec;
     use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
 
     const SHARDS: usize = 3;
     const CELLS: usize = 4;
@@ -639,8 +639,9 @@ fn check_cross_shard_all_or_nothing(
         cells.push(sc);
     }
 
-    let mut coordinator = TxnCoordinator::new();
-    let mut txn = coordinator.begin(SHARDS);
+    // A per-transaction coordinator: one coordinator, group size 1.
+    let mut coordinator = CoordinatorPool::new(1, 1);
+    let mut txn = coordinator.begin(0, SHARDS);
     for &(shard, cell, value) in ops {
         let (shard, cell) = (shard % SHARDS, cell % CELLS);
         txn.stage(shard, cells[shard][cell].0.offset(), value);
@@ -657,36 +658,33 @@ fn check_cross_shard_all_or_nothing(
     let mut decided = false;
     let mut mid_prepare: Option<u64> = None;
     let mut mid_commit: Option<bool> = None;
+    let prepare_all = |coordinator: &mut CoordinatorPool, heaps: &mut Vec<PersistentHeap>| {
+        assert!(coordinator.prepare(0, heaps, &txn).unwrap().is_none());
+    };
     match step_pick % 7 {
         0 => {}
         1 => {
             coordinator
-                .prepare_shard(&mut heaps[first], first, &txn)
+                .prepare_shard(0, &mut heaps, first, &txn)
                 .unwrap();
         }
-        2 => {
-            for &s in &participants {
-                coordinator.prepare_shard(&mut heaps[s], s, &txn).unwrap();
-            }
-        }
+        2 => prepare_all(&mut coordinator, &mut heaps),
         3 | 4 => {
-            for &s in &participants {
-                coordinator.prepare_shard(&mut heaps[s], s, &txn).unwrap();
-            }
-            coordinator.record_decision(&txn);
+            prepare_all(&mut coordinator, &mut heaps);
+            coordinator.buffer_decision(0, &txn);
+            coordinator.seal_decisions(0);
             decided = true;
             if step_pick % 7 == 4 {
                 coordinator
-                    .commit_shard(&mut heaps[first], first, &txn)
+                    .commit_shard(0, &mut heaps, first, gtxid)
                     .unwrap();
             }
         }
         5 => mid_prepare = Some(sub_step),
         6 => {
-            for &s in &participants {
-                coordinator.prepare_shard(&mut heaps[s], s, &txn).unwrap();
-            }
-            coordinator.record_decision(&txn);
+            prepare_all(&mut coordinator, &mut heaps);
+            coordinator.buffer_decision(0, &txn);
+            coordinator.seal_decisions(0);
             decided = true;
             mid_commit = Some(sub_step.is_multiple_of(2));
         }
@@ -788,7 +786,7 @@ fn cross_shard_fixed_seed_corpus() {
 fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
     use wsp_repro::cluster::ClusterSpec;
     use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
 
     const SHARDS: usize = 3;
     let config = if use_stm {
@@ -820,11 +818,11 @@ fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
         cells.push(sc);
     }
 
-    let mut coordinator = TxnCoordinator::new();
-    let mut txn_a = coordinator.begin(SHARDS);
+    let mut coordinator = CoordinatorPool::new(1, 1);
+    let mut txn_a = coordinator.begin(0, SHARDS);
     txn_a.stage(0, cells[0][0].0.offset(), 7_001);
     txn_a.stage(1, cells[1][0].0.offset(), 7_002);
-    let mut txn_b = coordinator.begin(SHARDS);
+    let mut txn_b = coordinator.begin(0, SHARDS);
     txn_b.stage(1, cells[1][1].0.offset(), 8_001);
     txn_b.stage(2, cells[2][1].0.offset(), 8_002);
 
@@ -837,9 +835,10 @@ fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
     };
     for &(shard, is_a) in order {
         let txn = if is_a { &txn_a } else { &txn_b };
-        coordinator.prepare_shard(&mut heaps[shard], shard, txn).unwrap();
+        coordinator.prepare_shard(0, &mut heaps, shard, txn).unwrap();
     }
-    coordinator.record_decision(&txn_a);
+    coordinator.buffer_decision(0, &txn_a);
+    coordinator.seal_decisions(0);
 
     // One outage takes the whole fleet.
     let coordinator_image = coordinator.crash_image();

@@ -233,22 +233,23 @@ fn xshard_rig(seed: u64) -> (Vec<PersistentHeap>, Vec<wsp_repro::pheap::PmPtr>) 
     (heaps, cells)
 }
 
-/// A clean two-shard commit through the two-phase seal, then a
+/// A clean two-shard commit through the two-phase seal on a
+/// per-transaction coordinator (one coordinator, group size 1), then a
 /// fleet-wide crash resolved against the coordinator's decision log:
 /// the transaction stays visible on both shards.
 fn cross_shard_commit(seed: u64) -> Capture {
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator, TxnOutcome};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool, SubmitOutcome};
 
     let (mut heaps, cells) = xshard_rig(seed);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let mut coordinator = TxnCoordinator::new();
-        let mut txn = coordinator.begin(2);
+        let mut coordinator = CoordinatorPool::new(1, 1);
+        let mut txn = coordinator.begin(0, 2);
         txn.stage(0, cells[0].offset(), seed + 10);
         txn.stage(1, cells[1].offset(), seed + 20);
         let gtxid = txn.gtxid();
-        let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
-        assert!(matches!(outcome, TxnOutcome::Committed), "seed {seed}");
+        let outcome = coordinator.submit(0, &mut heaps, &txn).unwrap();
+        assert_eq!(outcome, SubmitOutcome::Committed { group: 1 }, "seed {seed}");
 
         let coordinator_image = coordinator.crash_image();
         let images = heaps.drain(..).map(|h| Some(h.crash(false))).collect();
@@ -274,19 +275,19 @@ fn cross_shard_commit(seed: u64) -> Capture {
 /// but before its decision record: both shards recover in doubt and
 /// presumed abort erases the write-set everywhere.
 fn cross_shard_coordinator_death(seed: u64) -> Capture {
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
 
     let (mut heaps, cells) = xshard_rig(seed);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let mut coordinator = TxnCoordinator::new();
-        let mut txn = coordinator.begin(2);
+        let mut coordinator = CoordinatorPool::new(1, 1);
+        let mut txn = coordinator.begin(0, 2);
         txn.stage(0, cells[0].offset(), seed + 10);
         txn.stage(1, cells[1].offset(), seed + 20);
         let gtxid = txn.gtxid();
         for shard in txn.participants() {
             coordinator
-                .prepare_shard(&mut heaps[shard], shard, &txn)
+                .prepare_shard(0, &mut heaps, shard, &txn)
                 .unwrap();
         }
         // The decision record never lands: coordinator death.
